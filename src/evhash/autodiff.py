@@ -5,12 +5,10 @@ recurrent autoencoder and its losses need. Graphs are built eagerly by
 the ops below; ``backward`` walks the tape iteratively (no recursion) and
 accumulates gradients into leaves.
 
-Gradients of ``matmul`` with respect to a :class:`Leaf` weight are not
-formed per call. The (input, upstream) pair is parked on the leaf and all
-pairs are contracted in one stacked GEMM when the backward pass finishes;
-for a recurrent weight applied at hundreds of timesteps this is the
-difference between one large matrix product and hundreds of small
-accumulations.
+Ops are small on purpose. The BN-LSTM layers, which dominate training,
+are not built from them: ``model`` runs each layer as one node with a
+hand-written backward pass over a packed batch, so a training step's
+tape holds a few nodes per layer plus the per-item loss terms.
 """
 
 from __future__ import annotations
@@ -40,41 +38,22 @@ class Tensor:
             raise ValueError("backward() expects a scalar loss")
         topo = _toposort(self)
         self.grad = np.ones_like(self.value)
-        leaves = []
         for node in reversed(topo):
-            if isinstance(node, Leaf):
-                leaves.append(node)
-                continue
             if node._bwd is None:
-                continue  # source tensor: keep any accumulated grad
+                continue  # leaf or source tensor: keep any accumulated grad
             if node.grad is not None:
                 node._bwd(node.grad)
                 node.grad = None  # free intermediate grads as we go
-        for leaf in leaves:
-            leaf.flush_pending()
 
 
 class Leaf(Tensor):
     """A trainable tensor. Its grad persists across backward passes."""
 
-    __slots__ = ("_pending",)
+    __slots__ = ()
 
     def __init__(self, value):
         super().__init__(np.asarray(value))
         self.grad = np.zeros_like(self.value)
-        self._pending = []
-
-    def flush_pending(self):
-        if not self._pending:
-            return
-        if len(self._pending) == 1:
-            x, g = self._pending[0]
-            self.grad += x.T @ g
-        else:
-            xs = np.concatenate([x for x, _ in self._pending], axis=0)
-            gs = np.concatenate([g for _, g in self._pending], axis=0)
-            self.grad += xs.T @ gs
-        self._pending.clear()
 
 
 def _toposort(root):
@@ -102,17 +81,9 @@ def _buf(t):
     return t.grad
 
 
-def is_tensor(x):
-    return isinstance(x, Tensor)
-
-
 def val(x):
     """Underlying ndarray of ``x`` whether or not it is on the tape."""
     return x.value if isinstance(x, Tensor) else x
-
-
-def constant(x):
-    return np.asarray(x)
 
 
 # -- arithmetic ---------------------------------------------------------
@@ -219,7 +190,7 @@ def square(a):
 
 
 def matmul(a, b):
-    """a @ b for 2-D operands; dW for Leaf weights is deferred."""
+    """a @ b for 2-D operands."""
     ta, tb = isinstance(a, Tensor), isinstance(b, Tensor)
     if not (ta or tb):
         return a @ b
@@ -230,24 +201,9 @@ def matmul(a, b):
         if ta:
             _buf(a)[...] += g @ bv.T
         if tb:
-            if isinstance(b, Leaf):
-                b._pending.append((av, g))
-            else:
-                _buf(b)[...] += av.T @ g
+            _buf(b)[...] += av.T @ g
 
     return Tensor(out_v, tuple(x for x in (a, b) if isinstance(x, Tensor)), bwd)
-
-
-def gram(a):
-    """a @ a.T as one node (pairwise inner products of rows)."""
-    if not isinstance(a, Tensor):
-        return a @ a.T
-    av = a.value
-
-    def bwd(g):
-        _buf(a)[...] += (g + g.T) @ av
-
-    return Tensor(av @ av.T, (a,), bwd)
 
 
 # -- nonlinearities -----------------------------------------------------
@@ -263,18 +219,6 @@ def sigmoid(a):
         _buf(a)[...] += g * s * (1.0 - s)
 
     return Tensor(s, (a,), bwd)
-
-
-def tanh(a):
-    av = val(a)
-    t = np.tanh(av)
-    if not isinstance(a, Tensor):
-        return t
-
-    def bwd(g):
-        _buf(a)[...] += g * (1.0 - t * t)
-
-    return Tensor(t, (a,), bwd)
 
 
 def arctanh_clamped(a, margin=1e-6):
@@ -325,33 +269,20 @@ def wsum(a, w):
     return Tensor(out_v, (a,), bwd)
 
 
-def rowsum(a):
-    """Sum over the last axis: (B, d) -> (B,)."""
+# -- row plumbing (ragged batches) --------------------------------------
+
+
+def gather_rows(a, idx):
+    """a[idx] for an integer array of row indices (repeats allowed)."""
     av = val(a)
-    out_v = av.sum(axis=-1)
+    out_v = av[idx]
     if not isinstance(a, Tensor):
         return out_v
 
     def bwd(g):
-        _buf(a)[...] += g[..., None]
+        np.add.at(_buf(a), idx, g)
 
     return Tensor(out_v, (a,), bwd)
-
-
-# -- row plumbing (ragged batches) --------------------------------------
-
-
-def broadcast_rows(v, n):
-    """Tile a d-vector into an (n, d) matrix."""
-    vv = val(v)
-    out_v = np.repeat(vv[None, :], n, axis=0)
-    if not isinstance(v, Tensor):
-        return out_v
-
-    def bwd(g):
-        _buf(v)[...] += g.sum(axis=0)
-
-    return Tensor(out_v, (v,), bwd)
 
 
 def slice_rows(a, start, stop):
@@ -376,24 +307,3 @@ def slice_cols(a, start, stop):
         _buf(a)[:, start:stop] += g
 
     return Tensor(out_v, (a,), bwd)
-
-
-def rowcat(parts):
-    """Concatenate row slices [(tensor_or_array, start, stop), ...]."""
-    out_v = np.concatenate([val(a)[s:e] for a, s, e in parts], axis=0)
-    live = [(a, s, e) for a, s, e in parts if isinstance(a, Tensor)]
-    if not live:
-        return out_v
-    offsets = []
-    pos = 0
-    for a, s, e in parts:
-        n = e - s
-        if isinstance(a, Tensor):
-            offsets.append((a, s, pos, pos + n))
-        pos += n
-
-    def bwd(g):
-        for a, s, o0, o1 in offsets:
-            _buf(a)[s:s + (o1 - o0)] += g[o0:o1]
-
-    return Tensor(out_v, tuple(a for a, _, _, _ in offsets), bwd)

@@ -28,6 +28,7 @@ from .errors import (
     EmptyQuery,
     LengthMismatch,
     ModeMismatch,
+    ShapeMismatch,
     TruncatedFile,
     UnsupportedVersion,
 )
@@ -89,7 +90,14 @@ _MODE_CODE = {m: i for i, m in enumerate(MODES)}
 
 
 def db_save(db: HashDatabase, path) -> None:
+    """Write ``db`` as VHDB. Every entry is checked before the file is
+    opened, so a bad entry leaves no partial file behind."""
     nbytes = (db.L + 7) // 8
+    for vid, entry in db.entries.items():
+        if entry.packed.ndim != 2 or entry.packed.shape[1] != nbytes:
+            raise ShapeMismatch(
+                f"{vid!r}: packed codes {entry.packed.shape}, L={db.L} "
+                f"needs {nbytes} bytes per event")
     with open(path, "wb") as f:
         f.write(_VHDB_HEADER.pack(b"VHDB", 1, _MODE_CODE[db.mode], db.L,
                                   len(db.entries)))
@@ -99,7 +107,6 @@ def db_save(db: HashDatabase, path) -> None:
             f.write(raw)
             f.write(struct.pack("<fI", entry.duration_seconds,
                                 len(entry.packed)))
-            assert entry.packed.shape[1] == nbytes
             f.write(entry.packed.tobytes())
 
 

@@ -146,61 +146,70 @@ def total_loss(recon_per_video, memory_per_video, diversity) -> LossBreakdown:
 # -- trainer ----------------------------------------------------------------
 
 
-def _stack_item(steps, i, n_steps):
-    return ad.rowcat([(steps[t], i, i + 1) for t in range(n_steps)])
+def recon_loss_packed(recon, target, rows, row_w):
+    """sum_r row_w[r] * ||recon[rows[r]] - target[r]||^2 as one node.
+
+    ``recon`` is a packed decoder output and ``target`` the packed input
+    rows; ``rows`` maps each target row to its decoder row. Returns the
+    loss and each target row's squared error.
+    """
+    diff = val(recon)[rows] - target
+    row_sq = np.einsum("nd,nd->n", diff, diff)
+    out_v = np.asarray(row_sq @ row_w)
+    if not isinstance(recon, ad.Tensor):
+        return out_v, row_sq
+
+    def bwd(g):
+        np.multiply(diff, (2.0 * g * row_w)[:, None], out=diff)
+        ad._buf(recon)[rows] += diff
+
+    return ad.Tensor(out_v, (recon,), bwd), row_sq
 
 
 def batch_loss(model: Autoencoder, seqs: list[FeatureSequence], th: int,
                update_stats: bool = True, binarize: str = "hard",
-               input_steps=None):
+               inputs=None):
     """Training-mode forward plus loss for one batch (sorted by length).
 
-    Returns (total loss tensor, LossBreakdown of its value).
+    ``inputs`` is the batch's :func:`prepare_inputs`, computed when not
+    given. Returns (total loss tensor, LossBreakdown of its value).
     """
     if len(seqs) < 2:
         raise BatchTooSmall("a training batch needs at least 2 videos")
-    if input_steps is None:
-        input_steps = prepare_inputs(seqs, model.dtype)
+    if inputs is None:
+        inputs = prepare_inputs(seqs, model.dtype)
     fwd = forward_batch_train(seqs, model, update_stats=update_stats,
-                              binarize=binarize, input_steps=input_steps)
+                              binarize=binarize, inputs=inputs)
     L = model.L
     b = len(seqs)
 
-    # reconstruction, accumulated per step: targets are the input rows,
-    # and the per-item scale 1/(B * L * M_i) doubles as the truncate-to-M
-    # mask (decoder steps beyond an item's length get weight zero)
-    m_lens = fwd.in_lengths
-    item_w = 1.0 / (b * L * m_lens.astype(np.float64))
-    recon_vals = np.zeros(b)
-    recon_terms = []
-    for t, target in enumerate(input_steps):
-        nrows = target.shape[0]  # rows here are exactly the items with M_i > t
-        rec = fwd.recon_steps[t]
-        if val(rec).shape[0] > nrows:
-            rec = ad.slice_rows(rec, 0, nrows)
-        sq = ad.square(ad.sub(rec, target))
-        recon_vals[:nrows] += val(sq).sum(axis=1)
-        recon_terms.append(ad.wsum(sq, item_w[:nrows, None]))
-    recon_vals /= (L * m_lens)
+    # reconstruction: each input row is compared with the decoder row of
+    # the same step and item; the per-item scale 1/(B * L * M_i) leaves
+    # decoder steps beyond an item's length out (the truncate-to-M cut)
+    m_lens = fwd.inp.lengths
+    step, item = fwd.inp.steps_items()
+    row_w = 1.0 / (b * L * m_lens[item].astype(np.float64))
+    recon_term, row_sq = recon_loss_packed(
+        fwd.recon, inputs, fwd.dec.offsets[step] + item, row_w)
+    recon_vals = np.bincount(item, weights=row_sq, minlength=b) / (L * m_lens)
 
     per_video_mem = []
     mem_vals = []
     codes_items = []
     for i in range(b):
-        m_e = int(fwd.enc_lengths[i])
-        codes = _stack_item(fwd.code_steps, i, m_e)
+        rows = fwd.enc.item_rows(i)
+        codes = ad.gather_rows(fwd.codes, rows)
         codes_items.append(codes)
         code_bits = (val(codes) > 0)
         d_series = (code_bits[1:] != code_bits[:-1]).sum(axis=1)
-        gates = tuple(
-            _stack_item([g[j] for g in fwd.gate_steps], i, m_e)
-            for j in range(3))
+        g = ad.gather_rows(fwd.gates, rows)
+        gates = tuple(ad.slice_cols(g, j * L, (j + 1) * L) for j in range(3))
         ml = memory_loss(gates, d_series, th, L)
         per_video_mem.append(ml)
         mem_vals.append(float(val(ml)))
     div = diversity_loss(codes_items, L)
     total = ad.addn([
-        ad.addn(recon_terms),
+        recon_term,
         ad.scale(ad.addn(per_video_mem), 1.0 / b),
         div,
     ])
@@ -248,7 +257,7 @@ def train(train_set: list[FeatureSequence], cfg: TrainConfig,
         sums = np.zeros(4)
         for bi in order:
             total, bd = batch_loss(model, batches[bi], cfg.memory_threshold,
-                                   input_steps=prepared[bi])
+                                   inputs=prepared[bi])
             if not np.isfinite(float(val(total))):
                 raise NonFiniteLoss(f"epoch {epoch}, batch {bi}: "
                                     f"loss {float(val(total))}")

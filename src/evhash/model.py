@@ -15,7 +15,13 @@ cut to the requested length.
 Training-mode forwards run on the autodiff tape and couple batch items
 through the per-timestep batch statistics; batch items may have distinct
 lengths, in which case the statistics at step t use the items that reach
-t. Inference-mode forwards are plain numpy with running statistics.
+t. A training batch is packed time-major into one (sum_t B_t, d) array,
+B_t being the number of items still active at step t (see ``Layout``).
+Each BN-LSTM layer is a single tape node over that array with a
+hand-written BPTT backward, and the strides, upsamplings, arctanhs and
+the sign are one node each, so a step's tape stays small whatever the
+sequence length. Inference-mode forwards are plain numpy with running
+statistics.
 
 Checkpoint format MCBN (little-endian): magic "MCBN", version u8=1,
 layer count u8, then per layer: d_x u32, d_h u32, the float32 tensors
@@ -46,8 +52,8 @@ from .errors import (
     UnsupportedVersion,
 )
 from .ingest import FeatureSequence
-from .numerics import (BNSiteStats, Parameter, bn2_add, bn_transform,
-                       sgn_ste, sgn_surrogate)
+from .numerics import (BNSiteStats, Parameter, bn2_add, bn_centered_grad,
+                       bn_normalize, bn_transform, sgn_ste, sgn_surrogate)
 
 ARCTANH_MARGIN = 1e-6
 
@@ -87,6 +93,7 @@ class BNLSTMCell:
         self.site_h = BNSiteStats(4 * d_h, momentum, eps, dtype)
         self.site_x = BNSiteStats(4 * d_h, momentum, eps, dtype)
         self.site_c = BNSiteStats(d_h, momentum, eps, dtype)
+        self.workspace = None  # the fused training layer's arrays
 
     def parameters(self):
         return [getattr(self, name) for name in self.FIELD_ORDER]
@@ -258,48 +265,35 @@ def _adjacent_hamming(codes: np.ndarray) -> np.ndarray:
 # -- dense single-video inference ------------------------------------------
 
 
-def _infer_layer(cell: BNLSTMCell, X: np.ndarray) -> np.ndarray:
-    """Run one cell over a (M, d_x) sequence with running statistics."""
+def _infer_layer(cell: BNLSTMCell, X: np.ndarray, gates: bool = False):
+    """Run one cell over a (M, d_x) sequence with running statistics.
+
+    With ``gates`` it returns (hidden states, (f, i, o) post-sigmoid
+    gate records), otherwise the hidden states alone.
+    """
     M = X.shape[0]
     d = cell.d_h
     mx = X @ cell.W_x.value
     h = cell.h0.value[None, :]
     c = cell.c0.value[None, :]
     out = np.empty((M, d), dtype=X.dtype)
+    fio = tuple(np.empty((M, d), dtype=X.dtype) for _ in range(3)) \
+        if gates else ()
     gh, gx, bb = cell.gamma_h.value, cell.gamma_x.value, cell.b.value
     for t in range(1, M + 1):
         pre = bn2_add(h @ cell.W_h.value, mx[t - 1:t], gh, gx, bb,
                       cell.site_h, cell.site_x, t, "infer")
+        if gates:
+            sig = expit(pre[0])
+            fio[0][t - 1] = sig[:d]
+            fio[1][t - 1] = sig[d:2 * d]
+            fio[2][t - 1] = sig[3 * d:]
         c = _cell_state(pre, c, d)
         bn_c = bn_transform(c, cell.gamma_c.value, cell.beta_c.value,
                             cell.site_c, t, "infer")
         h = _cell_out(pre, bn_c, d)
         out[t - 1] = h[0]
-    return out
-
-
-def _infer_layer_with_gates(cell: BNLSTMCell, X: np.ndarray):
-    M = X.shape[0]
-    d = cell.d_h
-    mx = X @ cell.W_x.value
-    h = cell.h0.value[None, :]
-    c = cell.c0.value[None, :]
-    out = np.empty((M, d), dtype=X.dtype)
-    fio = tuple(np.empty((M, d), dtype=X.dtype) for _ in range(3))
-    gh, gx, bb = cell.gamma_h.value, cell.gamma_x.value, cell.b.value
-    for t in range(1, M + 1):
-        pre = bn2_add(h @ cell.W_h.value, mx[t - 1:t], gh, gx, bb,
-                      cell.site_h, cell.site_x, t, "infer")
-        sig = expit(pre[0])
-        fio[0][t - 1] = sig[:d]
-        fio[1][t - 1] = sig[d:2 * d]
-        fio[2][t - 1] = sig[3 * d:]
-        c = _cell_state(pre, c, d)
-        bn_c = bn_transform(c, cell.gamma_c.value, cell.beta_c.value,
-                            cell.site_c, t, "infer")
-        h = _cell_out(pre, bn_c, d)
-        out[t - 1] = h[0]
-    return out, fio
+    return (out, fio) if gates else out
 
 
 def _stride_dense(X: np.ndarray) -> np.ndarray:
@@ -327,7 +321,7 @@ def _encoder_hidden_infer(model: Autoencoder, X: np.ndarray):
     X = _infer_layer(e1, X)
     X = _infer_layer(e2, X)
     X = _infer_layer(e3, _stride_dense(X))
-    return _infer_layer_with_gates(e4, _stride_dense(X))
+    return _infer_layer(e4, _stride_dense(X), gates=True)
 
 
 def encode(seq: FeatureSequence, model: Autoencoder,
@@ -384,149 +378,332 @@ def forward(seq: FeatureSequence, model: Autoencoder,
     return decode(enc, model, seq.M, mode), enc
 
 
-# -- ragged training forward ------------------------------------------------
+# -- packed training forward ------------------------------------------------
 
 
-def _counts(lengths: np.ndarray) -> np.ndarray:
-    """counts[t-1] = how many items are still active at 1-based step t."""
-    T = int(lengths[0])
-    return np.array([int(np.sum(lengths >= t)) for t in range(1, T + 1)])
+class Layout:
+    """Row layout of a ragged batch packed time-major.
 
-
-def _run_layer_train(cell, steps, lengths, update_stats, want_gates=False):
-    counts = _counts(lengths)
-    h = ad.broadcast_rows(cell.h0, counts[0])
-    c = ad.broadcast_rows(cell.c0, counts[0])
-    outs = []
-    gates = []
-    d = cell.d_h
-    for t in range(1, len(counts) + 1):
-        bt = counts[t - 1]
-        if val(h).shape[0] > bt:
-            h = ad.slice_rows(h, 0, bt)
-            c = ad.slice_rows(c, 0, bt)
-        pre = bn2_add(ad.matmul(h, cell.W_h), ad.matmul(steps[t - 1], cell.W_x),
-                      cell.gamma_h, cell.gamma_x, cell.b,
-                      cell.site_h, cell.site_x, t, "train", update_stats)
-        c = _cell_state(pre, c, d)
-        bn_c = bn_transform(c, cell.gamma_c, cell.beta_c, cell.site_c, t,
-                            "train", update_stats)
-        h = _cell_out(pre, bn_c, d)
-        if want_gates:
-            gates.append((ad.sigmoid(ad.slice_cols(pre, 0, d)),
-                          ad.sigmoid(ad.slice_cols(pre, d, 2 * d)),
-                          ad.sigmoid(ad.slice_cols(pre, 3 * d, 4 * d))))
-        outs.append(h)
-    return outs, gates
-
-
-def _stride_ragged(steps, lengths):
-    new_lengths = -(-lengths // 2)
-    new_steps = []
-    for k in range(1, int(new_lengths[0]) + 1):
-        n_even = int(np.sum(lengths >= 2 * k))
-        n_all = int(np.sum(new_lengths >= k))
-        even_src = steps[2 * k - 1] if n_even > 0 else None
-        if n_all == n_even:
-            if val(even_src).shape[0] == n_even:
-                new_steps.append(even_src)
-            else:
-                new_steps.append(ad.slice_rows(even_src, 0, n_even))
-        else:
-            # items of odd length 2k-1 contribute their final step
-            parts = []
-            if n_even > 0:
-                parts.append((even_src, 0, n_even))
-            parts.append((steps[2 * k - 2], n_even, n_all))
-            new_steps.append(ad.rowcat(parts))
-    return new_steps, new_lengths
-
-
-def _upsample_ragged(steps, lengths):
-    new_lengths = lengths * 2
-    new_steps = []
-    for k in range(1, len(steps) + 1):
-        sk = steps[k - 1]
-        new_steps.append(sk)  # odd output step 2k-1
-        m_pair = int(np.sum(lengths >= k + 1))
-        m_all = val(sk).shape[0]
-        if m_pair == 0:
-            new_steps.append(sk)  # boundary: replicate
-            continue
-        left = ad.slice_rows(sk, 0, m_pair) if m_pair < m_all else sk
-        avg = ad.scale(ad.add(left, steps[k]), 0.5)
-        if m_pair < m_all:
-            new_steps.append(ad.rowcat([(avg, 0, m_pair),
-                                        (sk, m_pair, m_all)]))
-        else:
-            new_steps.append(avg)
-    return new_steps, new_lengths
-
-
-class BatchForward:
-    """Tape handles and lengths from one training-mode batch forward.
-
-    Items are ordered by decreasing length; per-step tensors cover the
-    items still active at that step (always a prefix of that order).
+    Items are sorted by decreasing length, so the items active at 1-based
+    step t are a prefix of the batch: counts[t-1] of them, stored as rows
+    offsets[t-1] .. offsets[t]-1 with item i at row offsets[t-1] + i.
     """
 
-    def __init__(self, model, in_lengths, code_steps, gate_steps,
-                 recon_steps, enc_lengths, dec_lengths, prebin_steps=()):
-        self.model = model
-        self.in_lengths = in_lengths
-        self.code_steps = code_steps
-        self.gate_steps = gate_steps
-        self.recon_steps = recon_steps
-        self.enc_lengths = enc_lengths
-        self.dec_lengths = dec_lengths
-        self.prebin_steps = prebin_steps  # arctanh outputs feeding the sign
+    def __init__(self, lengths):
+        self.lengths = np.asarray(lengths, dtype=np.int64)
+        steps = np.arange(1, int(self.lengths[0]) + 1)
+        self.counts = (self.lengths[None, :] >= steps[:, None]).sum(axis=1)
+        self.offsets = np.concatenate(([0], np.cumsum(self.counts)))
+        self.rows = int(self.offsets[-1])
 
-    def item_codes(self, i: int) -> np.ndarray:
-        """{0,1} codes of item i, shape (M_e_i, L)."""
-        me = int(self.enc_lengths[i])
-        rows = [val(self.code_steps[t])[i] for t in range(me)]
-        return ((np.stack(rows) + 1) / 2).astype(np.uint8)
+    def item_rows(self, i: int, n: int | None = None) -> np.ndarray:
+        """Rows of item i's first n steps (all of its steps by default)."""
+        n = int(self.lengths[i]) if n is None else n
+        return self.offsets[:n] + i
+
+    def steps_items(self):
+        """0-based step and item index of every row."""
+        step = np.repeat(np.arange(len(self.counts)), self.counts)
+        return step, np.arange(self.rows) - self.offsets[step]
+
+    def stride(self):
+        """(strided layout, source row of each of its rows).
+
+        Keeps the 1-based even steps plus, for an odd length, the last.
+        """
+        out = Layout(-(-self.lengths // 2))
+        k, i = out.steps_items()
+        src = np.where(self.lengths[i] >= 2 * k + 2, 2 * k + 1, 2 * k)
+        return out, self.offsets[src] + i
+
+    def upsample(self):
+        """(doubled layout, rows a, rows b): each new row is the mean of
+        rows a and b. Even steps copy (a == b); inserted steps average
+        their flanking steps, and replicate the last step at the end."""
+        out = Layout(2 * self.lengths)
+        s, i = out.steps_items()
+        k = s // 2
+        a = self.offsets[k] + i
+        pair = (s % 2 == 1) & (self.lengths[i] >= k + 2)
+        nxt = self.offsets[np.minimum(k + 1, len(self.counts) - 1)] + i
+        return out, a, np.where(pair, nxt, a)
+
+
+def _upsample(X, a, b):
+    """(X[a] + X[b]) / 2 as one node."""
+    xv = val(X)
+    out_v = 0.5 * (xv[a] + xv[b])
+    if not isinstance(X, Tensor):
+        return out_v
+
+    def bwd(g):
+        buf = ad._buf(X)
+        half = 0.5 * g
+        np.add.at(buf, a, half)
+        np.add.at(buf, b, half)
+
+    return Tensor(out_v, (X,), bwd)
+
+
+class _Workspace:
+    """Cache and scratch arrays of one cell's fused layer, kept across
+    training steps so each step does not fault in fresh pages.
+
+    A forward claims the workspace and its backward releases it. A
+    forward that finds it claimed (an earlier tape of this cell has not
+    been backpropagated) takes a new workspace instead, so two live
+    tapes never share arrays.
+    """
+
+    def __init__(self):
+        self.flat = {}
+        self.claimed = False
+
+    def take(self, name, shape, dtype):
+        size = int(np.prod(shape))
+        buf = self.flat.get(name)
+        if buf is None or buf.dtype != dtype or buf.size < size:
+            buf = self.flat[name] = np.empty(size, dtype=dtype)
+        return buf[:size].reshape(shape)
+
+
+def _claim_workspace(cell):
+    ws = cell.workspace
+    if ws is None or ws.claimed:
+        ws = cell.workspace = _Workspace()
+    ws.claimed = True
+    return ws
+
+
+def _gate_affine(d, dtype):
+    """Per-column (scale, shift) turning tanh into the gate activations:
+    sigmoid(z) = 0.5 tanh(z / 2) + 0.5 for f, i and o, tanh itself for g,
+    so all four gates take one tanh pass."""
+    half = np.full(d, 0.5, dtype)
+    scale = np.concatenate((half, half, np.ones(d, dtype), half))
+    shift = np.concatenate((half, half, np.zeros(d, dtype), half))
+    return scale, shift
+
+
+def bnlstm_layer(cell: BNLSTMCell, X, lay: Layout, update_stats=True,
+                 want_gates=False):
+    """Run a cell over a packed batch as one tape node.
+
+    ``X`` is the packed (lay.rows, d_x) input, a tape tensor or an array.
+    Returns the packed hidden states H, and with ``want_gates`` also a
+    second node G (lay.rows, 3 d_h) holding the post-sigmoid (f, i, o)
+    gates. Batch statistics, running-statistic updates and values are
+    those of :func:`bnlstm_cell_step` applied step by step.
+
+    The input GEMM is hoisted out of the recurrence into one product; the
+    recurrent one runs weight-first against a contiguous copy of W_h.T.
+    The backward pass is hand-written BPTT; it overwrites the cached
+    normalized values with their gradients, so a tape runs backward once.
+    """
+    xv = val(X)
+    if xv.ndim != 2 or xv.shape != (lay.rows, cell.d_x):
+        raise ShapeMismatch(
+            f"layer expects a ({lay.rows}, {cell.d_x}) packed input, got "
+            f"{xv.shape}")
+    d, n, dt = cell.d_h, lay.rows, xv.dtype
+    steps, b1 = len(lay.counts), int(lay.counts[0])
+    bounds = [(int(lay.offsets[t]), int(lay.counts[t])) for t in range(steps)]
+    ws = _claim_workspace(cell)
+    XA = ws.take("xa", (n, 4 * d), dt)    # normalized recurrent term
+    XU = ws.take("xu", (n, 4 * d), dt)    # normalized input term
+    ACT = ws.take("act", (n, 4 * d), dt)  # f, i, tanh(g), o
+    HP = ws.take("hp", (n, d), dt)        # h_{t-1} of each row
+    CP = ws.take("cp", (n, d), dt)        # c_{t-1} of each row
+    XC = ws.take("xc", (n, d), dt)        # normalized cell state
+    TC = ws.take("tc", (n, d), dt)        # tanh(BN(c))
+    H = ws.take("h", (n, d), dt)
+    flat = ws.take("flat", (4 * d * b1,), dt)  # recurrent GEMM products
+    S = ws.take("s", (b1, 4 * d), dt)
+    C = ws.take("c", (b1, d), dt)
+    Q = ws.take("q", (b1, d), dt)
+    inv_a = np.empty((steps, 4 * d), dt)
+    inv_u = np.empty((steps, 4 * d), dt)
+    inv_c = np.empty((steps, d), dt)
+
+    W_h, W_x = cell.W_h.value, cell.W_x.value
+    W_hT = np.ascontiguousarray(W_h.T)
+    gh, gx, gc = cell.gamma_h.value, cell.gamma_x.value, cell.gamma_c.value
+    scale, shift = _gate_affine(d, dt)
+    gh_s, gx_s, b_s = gh * scale, gx * scale, cell.b.value * scale
+    np.matmul(xv, W_x, out=XU)
+    HP[:b1] = cell.h0.value
+    CP[:b1] = cell.c0.value
+    for t, (start, B) in enumerate(bounds):
+        r = slice(start, start + B)
+        xa, xu, act, c = XA[r], XU[r], ACT[r], C[:B]
+        np.copyto(xa, np.matmul(W_hT, HP[r].T,
+                                out=flat[:4 * d * B].reshape(4 * d, B)).T)
+        _, mu_a, var_a, inv_a[t] = bn_normalize(xa, cell.site_h.eps, out=xa)
+        _, mu_u, var_u, inv_u[t] = bn_normalize(xu, cell.site_x.eps, out=xu)
+        np.multiply(xa, gh_s, out=act)
+        act += np.multiply(xu, gx_s, out=S[:B])
+        act += b_s
+        np.tanh(act, out=act)
+        act *= scale
+        act += shift
+        np.multiply(act[:, :d], CP[r], out=c)
+        c += np.multiply(act[:, d:2 * d], act[:, 2 * d:3 * d], out=Q[:B])
+        _, mu_c, var_c, inv_c[t] = bn_normalize(c, cell.site_c.eps, out=XC[r])
+        tc = np.multiply(XC[r], gc, out=TC[r])
+        tc += cell.beta_c.value
+        np.tanh(tc, out=tc)
+        np.multiply(act[:, 3 * d:], tc, out=H[r])
+        if update_stats:
+            cell.site_h.update(t + 1, mu_a, var_a)
+            cell.site_x.update(t + 1, mu_u, var_u)
+            cell.site_c.update(t + 1, mu_c, var_c)
+        if t + 1 < steps:
+            nb = bounds[t + 1][1]
+            HP[r.stop:r.stop + nb] = H[r][:nb]
+            CP[r.stop:r.stop + nb] = c[:nb]
+
+    params = [cell.W_h, cell.W_x, cell.b, cell.gamma_h, cell.gamma_x,
+              cell.gamma_c, cell.beta_c, cell.h0, cell.c0]
+    gate_grad = []
+
+    def bwd(dH):
+        dG = gate_grad[0] if gate_grad else None
+        db, dgh, dgx = (np.zeros(4 * d, dt) for _ in range(3))
+        dgc, dbc = np.zeros(d, dt), np.zeros(d, dt)
+        P = ws.take("p", (b1, 4 * d), dt)   # gradient w.r.t. the gates' input
+        DH = ws.take("dh", (b1, d), dt)
+        DCP = ws.take("dcp", (b1, d), dt)   # carry into c_{t-1}
+        dhp = None                          # carry into h_{t-1}
+        for t in range(steps - 1, -1, -1):
+            start, B = bounds[t]
+            nb = bounds[t + 1][1] if t + 1 < steps else 0
+            r = slice(start, start + B)
+            act, tc, xc, xa, xu = ACT[r], TC[r], XC[r], XA[r], XU[r]
+            f, i, g, o = (act[:, k * d:(k + 1) * d] for k in range(4))
+            p, s, q, dh = P[:B], S[:B], Q[:B], DH[:B]
+            np.copyto(dh, dH[r])
+            if nb:
+                dh[:nb] += dhp[:nb]
+            np.multiply(dh, tc, out=p[:, 3 * d:])
+            np.multiply(tc, tc, out=q)
+            np.subtract(1.0, q, out=q)
+            q *= o
+            q *= dh                                   # d/d BN(c)
+            qsum, qx = q.sum(axis=0), np.einsum("bd,bd->d", q, xc)
+            dgc += qx
+            dbc += qsum
+            q -= qsum / B
+            dc = bn_centered_grad(q, xc, qx / B, inv_c[t] * gc, out=xc)
+            if nb:
+                dc[:nb] += DCP[:nb]
+            np.multiply(dc, CP[r], out=p[:, :d])
+            np.multiply(dc, g, out=p[:, d:2 * d])
+            np.multiply(dc, i, out=p[:, 2 * d:3 * d])
+            np.multiply(dc, f, out=DCP[:B])
+            if dG is not None:
+                p[:, :2 * d] += dG[r, :2 * d]
+                p[:, 3 * d:] += dG[r, 2 * d:]
+            np.subtract(1.0, act, out=s)
+            s *= act
+            np.multiply(g, g, out=s[:, 2 * d:3 * d])
+            np.subtract(1.0, s[:, 2 * d:3 * d], out=s[:, 2 * d:3 * d])
+            p *= s                                    # d/d pre-activation
+            psum = p.sum(axis=0)
+            pxa = np.einsum("bd,bd->d", p, xa)
+            pxu = np.einsum("bd,bd->d", p, xu)
+            db += psum
+            dgh += pxa
+            dgx += pxu
+            p -= psum / B
+            bn_centered_grad(p, xa, pxa / B, inv_a[t] * gh, out=xa)
+            bn_centered_grad(p, xu, pxu / B, inv_u[t] * gx, out=xu)
+            dhp = np.matmul(W_h, xa.T, out=flat[:d * B].reshape(d, B)).T
+        DA, DU = XA, XU
+        grads = [HP.T @ DA, xv.T @ DU, db, dgh, dgx, dgc, dbc,
+                 dhp.sum(axis=0), DCP.sum(axis=0)]
+        for prm, grad in zip(params, grads):
+            prm.grad += grad
+        if isinstance(X, Tensor):
+            dX = DU @ W_x.T
+            if X.grad is None:
+                X.grad = dX
+            else:
+                X.grad += dX
+        ws.claimed = False
+
+    parents = tuple(params) + ((X,) if isinstance(X, Tensor) else ())
+    out = Tensor(H, parents, bwd)
+    if not want_gates:
+        return out
+
+    def gates_bwd(g):
+        gate_grad.append(g)
+        ad._buf(out)  # the layer's backward must run to pass it on
+
+    gates = np.concatenate((ACT[:, :2 * d], ACT[:, 3 * d:]), axis=1)
+    return out, Tensor(gates, (out,), gates_bwd)
+
+
+@dataclass
+class BatchForward:
+    """Tape handles and layouts from one training-mode batch forward.
+
+    Every tensor is packed time-major (see :class:`Layout`): ``codes``
+    (+-1), ``prebin`` (the arctanh outputs feeding the sign) and
+    ``gates`` (f, i, o side by side) over the encoder layout ``enc``,
+    ``recon`` over the decoder layout ``dec``. Values stay valid until
+    the tape has been backpropagated and the model runs forward again.
+    """
+
+    model: Autoencoder
+    inp: Layout
+    enc: Layout
+    dec: Layout
+    codes: Tensor
+    gates: Tensor
+    prebin: Tensor
+    recon: Tensor
 
     def encode_results(self):
         out = []
-        for i in range(len(self.in_lengths)):
-            codes = self.item_codes(i)
-            me = codes.shape[0]
-            fio = tuple(
-                np.stack([val(self.gate_steps[t][j])[i] for t in range(me)])
-                for j in range(3))
+        L = self.model.L
+        for i in range(len(self.inp.lengths)):
+            rows = self.enc.item_rows(i)
+            codes = ((val(self.codes)[rows] + 1) / 2).astype(np.uint8)
+            gates = val(self.gates)[rows]
+            fio = tuple(gates[:, j * L:(j + 1) * L] for j in range(3))
             out.append(EncodeResult(codes=codes,
                                     d_series=_adjacent_hamming(codes),
-                                    gates=fio, M_e=me))
+                                    gates=fio, M_e=codes.shape[0]))
         return out
 
     def reconstructions(self):
-        out = []
-        for i in range(len(self.in_lengths)):
-            m = int(self.in_lengths[i])
-            rows = [val(self.recon_steps[t])[i] for t in range(m)]
-            out.append(np.stack(rows))
-        return out
+        """Per item, its first M_i decoder rows (the cut to length M)."""
+        rv = val(self.recon)
+        return [rv[self.dec.item_rows(i, int(m))]
+                for i, m in enumerate(self.inp.lengths)]
 
 
-def prepare_inputs(seqs: list[FeatureSequence], dtype) -> list[np.ndarray]:
-    """Time-major per-step input rows for a ragged batch (cacheable)."""
-    lengths = np.array([s.M for s in seqs], dtype=np.int64)
-    counts = _counts(lengths)
-    return [np.ascontiguousarray(
-        np.stack([seqs[i].features[t - 1] for i in range(counts[t - 1])]),
-        dtype=dtype) for t in range(1, int(lengths[0]) + 1)]
+def prepare_inputs(seqs: list[FeatureSequence], dtype) -> np.ndarray:
+    """The packed time-major input rows of a ragged batch (cacheable)."""
+    lay = Layout([s.M for s in seqs])
+    out = np.empty((lay.rows, seqs[0].D), dtype=dtype)
+    for i, s in enumerate(seqs):
+        out[lay.item_rows(i)] = s.features
+    return out
 
 
 def forward_batch_train(seqs: list[FeatureSequence], model: Autoencoder,
                         update_stats: bool = True,
                         binarize: str = "hard",
-                        input_steps: list[np.ndarray] | None = None) -> BatchForward:
+                        inputs: np.ndarray | None = None) -> BatchForward:
     """Training-mode forward over a ragged batch, on the tape.
 
-    ``seqs`` must be sorted by decreasing length. Reconstruction steps
-    may overshoot an item's length; the losses ignore the overshoot,
-    which realizes the cut-to-M contract.
+    ``seqs`` must be sorted by decreasing length; ``inputs`` is their
+    :func:`prepare_inputs`. Each cell is one node over the packed batch,
+    and so are the strides, upsamplings, arctanhs and the sign. Decoder
+    rows may overshoot an item's length; the losses ignore the
+    overshoot, which realizes the cut-to-M contract.
 
     ``binarize="surrogate"`` swaps the hard sign for its clipped-identity
     surrogate (same gradient), making the whole loss finite-difference
@@ -537,32 +714,31 @@ def forward_batch_train(seqs: list[FeatureSequence], model: Autoencoder,
     lengths = np.array([s.M for s in seqs], dtype=np.int64)
     if np.any(lengths[:-1] < lengths[1:]):
         raise ValueError("batch items must be sorted by decreasing length")
-    steps = input_steps if input_steps is not None \
-        else prepare_inputs(seqs, model.dtype)
+    x = inputs if inputs is not None else prepare_inputs(seqs, model.dtype)
 
+    inp = Layout(lengths)
     e1, e2, e3, e4 = model.encoder.cells
-    s, _ = _run_layer_train(e1, steps, lengths, update_stats)
-    s, _ = _run_layer_train(e2, s, lengths, update_stats)
-    s, len3 = _stride_ragged(s, lengths)
-    s, _ = _run_layer_train(e3, s, len3, update_stats)
-    s, len4 = _stride_ragged(s, len3)
-    hid, gates = _run_layer_train(e4, s, len4, update_stats, want_gates=True)
-    prebin = [ad.arctanh_clamped(h, ARCTANH_MARGIN) for h in hid]
-    binfun = sgn_ste if binarize == "hard" else sgn_surrogate
-    codes = [binfun(p) for p in prebin]
+    s = bnlstm_layer(e1, x, inp, update_stats)
+    s = bnlstm_layer(e2, s, inp, update_stats)
+    lay3, rows = inp.stride()
+    s = bnlstm_layer(e3, ad.gather_rows(s, rows), lay3, update_stats)
+    enc, rows = lay3.stride()
+    hid, gates = bnlstm_layer(e4, ad.gather_rows(s, rows), enc,
+                              update_stats, want_gates=True)
+    prebin = ad.arctanh_clamped(hid, ARCTANH_MARGIN)
+    codes = (sgn_ste if binarize == "hard" else sgn_surrogate)(prebin)
 
     d1, d2, d3, d4 = model.decoder.cells
-    s, _ = _run_layer_train(d1, codes, len4, update_stats)
-    s, lu1 = _upsample_ragged(s, len4)
-    s, _ = _run_layer_train(d2, s, lu1, update_stats)
-    s, lu2 = _upsample_ragged(s, lu1)
-    s, _ = _run_layer_train(d3, s, lu2, update_stats)
-    s, _ = _run_layer_train(d4, s, lu2, update_stats)
-    recon = [ad.arctanh_clamped(h, ARCTANH_MARGIN) for h in s]
+    s = bnlstm_layer(d1, codes, enc, update_stats)
+    lay, a, b = enc.upsample()
+    s = bnlstm_layer(d2, _upsample(s, a, b), lay, update_stats)
+    dec, a, b = lay.upsample()
+    s = bnlstm_layer(d3, _upsample(s, a, b), dec, update_stats)
+    s = bnlstm_layer(d4, s, dec, update_stats)
+    recon = ad.arctanh_clamped(s, ARCTANH_MARGIN)
 
     model.max_input_len = max(model.max_input_len, int(lengths[0]))
-    return BatchForward(model, lengths, codes, gates, recon, len4, lu2,
-                        prebin_steps=prebin)
+    return BatchForward(model, inp, enc, dec, codes, gates, prebin, recon)
 
 
 # -- checkpoints -------------------------------------------------------------

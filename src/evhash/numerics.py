@@ -80,21 +80,45 @@ class AdamConfig:
 # -- batch normalization -------------------------------------------------
 
 
-def _bn_train_core(hv, eps):
-    mu = hv.mean(axis=0)
-    xhat = hv - mu
-    var = np.einsum("bd,bd->d", xhat, xhat) / hv.shape[0]  # population
+def bn_normalize(x, eps, out=None):
+    """(x - mean) / sqrt(var + eps) over the batch axis (axis 0).
+
+    Returns (xhat, mean, var, inv) with the population variance and
+    inv = 1 / sqrt(var + eps). ``out`` may be ``x`` itself, which
+    normalizes in place. Shared by the per-step tape ops below and the
+    fused layer in ``model``.
+    """
+    n = x.shape[0]
+    mu = x.sum(axis=0) / n
+    xhat = np.subtract(x, mu, out=out)
+    var = np.einsum("bd,bd->d", xhat, xhat) / n
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
-    return mu, var, inv, xhat
+    return xhat, mu, var, inv
 
 
 def _bn_input_grad(g_xhat, xhat, inv):
-    # gradient through the batch statistics themselves
+    """Gradient w.r.t. a batch-normalized input, given the gradient
+    w.r.t. its normalized value ``xhat``; it flows through the batch
+    mean and variance too."""
     n = xhat.shape[0]
-    gm = g_xhat.mean(axis=0)
     gx = np.einsum("bd,bd->d", g_xhat, xhat) / n
-    return inv * (g_xhat - gm - xhat * gx)
+    return bn_centered_grad(g_xhat - g_xhat.sum(axis=0) / n, xhat, gx, inv)
+
+
+def bn_centered_grad(g_centered, xhat, gx, scale, out=None):
+    """scale * (g_centered - xhat * gx): :func:`_bn_input_grad` for a
+    caller that already holds the batch sums.
+
+    ``g_centered`` is the gradient w.r.t. xhat minus its batch mean, ``gx``
+    the batch mean of that gradient times xhat, and ``scale`` is inv
+    times any per-feature factor folded into the gradient. ``out`` may be
+    ``xhat``, which it then overwrites.
+    """
+    out = np.multiply(xhat, gx, out=out)
+    np.subtract(g_centered, out, out=out)
+    out *= scale
+    return out
 
 
 def bn_transform(h, gamma, beta, stats: BNSiteStats, t: int, mode: str,
@@ -124,7 +148,7 @@ def bn_transform(h, gamma, beta, stats: BNSiteStats, t: int, mode: str,
     if mode != "train":
         raise ValueError(f"unknown mode {mode!r}")
 
-    mu, var, inv, xhat = _bn_train_core(hv, stats.eps)
+    xhat, mu, var, inv = bn_normalize(hv, stats.eps)
     if update_stats:
         stats.update(t, mu, var)
     out_v = gv * xhat
@@ -153,9 +177,9 @@ def bn2_add(a, b, gamma_a, gamma_b, bias,
     """BN(a; gamma_a) + BN(b; gamma_b) + bias as one fused node.
 
     Both shift vectors are fixed at zero; the single bias covers them.
-    This is the hot path of every recurrent step, so the two
-    normalizations are computed jointly on a stacked view and the whole
-    expression is one tape node instead of five.
+    The whole expression is one tape node instead of five. Training runs
+    the fused layer of ``model``; this per-step form serves inference
+    and the step-by-step reference that layer is tested against.
     """
     av, bv = val(a), val(b)
     ga, gb, bias_v = val(gamma_a), val(gamma_b), val(bias)
@@ -171,20 +195,11 @@ def bn2_add(a, b, gamma_a, gamma_b, bias,
     if mode != "train":
         raise ValueError(f"unknown mode {mode!r}")
 
-    n = av.shape[0]
-    mu_a = av.mean(axis=0)
-    xa = av - mu_a
-    var_a = np.einsum("bd,bd->d", xa, xa) / n
-    mu_b = bv.mean(axis=0)
-    xb = bv - mu_b
-    var_b = np.einsum("bd,bd->d", xb, xb) / n
+    xa, mu_a, var_a, inv_a = bn_normalize(av, stats_a.eps)
+    xb, mu_b, var_b, inv_b = bn_normalize(bv, stats_b.eps)
     if update_stats:
         stats_a.update(t, mu_a, var_a)
         stats_b.update(t, mu_b, var_b)
-    inv_a = 1.0 / np.sqrt(var_a + stats_a.eps)
-    inv_b = 1.0 / np.sqrt(var_b + stats_b.eps)
-    xa *= inv_a
-    xb *= inv_b
     out_v = ga * xa
     out_v += gb * xb
     out_v += bias_v

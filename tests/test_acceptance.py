@@ -123,7 +123,7 @@ def test_c02_gradient_check_full_model():
     # precondition: activations feeding the binarizer stay away from the
     # sign flip at 0 and the straight-through mask edge at |h| = 1
     fwd = forward_batch_train(seqs, model, update_stats=False)
-    prebin = np.concatenate([ad.val(p).ravel() for p in fwd.prebin_steps])
+    prebin = ad.val(fwd.prebin).ravel()
     assert np.abs(prebin).min() > 1e-3
     assert np.abs(np.abs(prebin) - 1.0).min() > 1e-3
 

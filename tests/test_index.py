@@ -7,6 +7,7 @@ from evhash.errors import (
     EmptyDatabase,
     LengthMismatch,
     ModeMismatch,
+    ShapeMismatch,
     TruncatedFile,
 )
 from evhash.hashing import VideoHash
@@ -114,6 +115,21 @@ class TestDatabase:
         assert back == db
         db_save(back, tmp_path / "db2.vhdb")
         assert path.read_bytes() == (tmp_path / "db2.vhdb").read_bytes()
+
+    def test_save_rejects_bad_width_before_writing(self, tmp_path):
+        rng = np.random.default_rng(11)
+        db = HashDatabase(16, "events")
+        db_add(db, make_hash(rng, "a", 16, 3))
+        db_add(db, make_hash(rng, "b", 16, 2))
+        db.entries["b"] = DbEntry(np.zeros((2, 3), dtype=np.uint8), 1.0)
+        path = tmp_path / "db.vhdb"
+        with pytest.raises(ShapeMismatch):
+            db_save(db, path)
+        assert not path.exists()
+        path.write_bytes(b"old")
+        with pytest.raises(ShapeMismatch):
+            db_save(db, path)
+        assert path.read_bytes() == b"old"
 
     def test_corrupted_magic(self, tmp_path):
         path = tmp_path / "db.vhdb"

@@ -226,3 +226,63 @@ class TestTrain:
         enc_grads = sum(float(np.abs(p.grad).sum())
                         for c in model.encoder.cells for p in c.parameters())
         assert enc_grads > 0.0
+
+
+class TestWorkspaceReuse:
+    """Each cell keeps its fused layer's arrays across steps; training two
+    models in turn, over batches of several lengths, must not let one
+    step's arrays leak into another's."""
+
+    @staticmethod
+    def setups():
+        rng = np.random.default_rng(31)
+        sets = ([FeatureSequence(f"a{i}", rng.normal(size=(m, 6)),
+                                 normalized=True)
+                 for i, m in enumerate((15, 14, 9, 9, 5, 4))],
+                [FeatureSequence(f"b{i}", rng.normal(size=(m, 8)),
+                                 normalized=True)
+                 for i, m in enumerate((21, 11, 10, 6))])
+        models = (lambda: build_model(D=6, L=4, encoder_dims=(5, 4, 3),
+                                      seed=32),
+                  lambda: build_model(D=8, L=6, encoder_dims=(7, 6, 6),
+                                      seed=33, dtype=np.float32))
+        cfgs = (TrainConfig(batch_size=2, epochs=2, lr=3e-3,
+                            memory_threshold=1, seed=34),
+                TrainConfig(batch_size=2, epochs=2, lr=3e-3,
+                            memory_threshold=2, seed=35))
+        return sets, models, cfgs
+
+    def test_interleaved_training_matches_solo(self):
+        from evhash.model import forward
+        sets, makers, cfgs = self.setups()
+        rounds = 3
+        solo = []
+        for data, make, cfg in zip(sets, makers, cfgs):
+            model, logs = make(), []
+            for _ in range(rounds):
+                logs += train(data, cfg, model)[1]
+            solo.append(logs)
+        models = [make() for make in makers]
+        mixed = [[], []]
+        for _ in range(rounds):
+            for k in (0, 1):
+                mixed[k] += train(sets[k], cfgs[k], models[k])[1]
+                # a training-mode forward left without a backward pass
+                forward(sets[1 - k][0], models[1 - k], mode="train")
+        assert mixed == solo
+
+    def test_two_live_tapes_do_not_share_arrays(self):
+        sets, makers, _ = self.setups()
+        batch = sorted(sets[0][:2], key=lambda s: -s.M)
+        other = sorted(sets[0][3:], key=lambda s: -s.M)
+
+        def grads(interpose):
+            model = makers[0]()
+            total, _ = batch_loss(model, batch, th=1, update_stats=False)
+            if interpose:
+                batch_loss(model, other, th=1, update_stats=False)
+            total.backward()
+            return [p.grad for p in model.parameters()]
+
+        for a, b in zip(grads(True), grads(False)):
+            np.testing.assert_array_equal(a, b)

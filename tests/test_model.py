@@ -203,13 +203,12 @@ class TestDecoderStack:
         np.testing.assert_allclose(up, [a, (a + b) / 2, b, b])
 
     def test_upsample_rule_ragged(self):
-        a = ad.Tensor(np.array([[1.0, 5.0]]))
-        b = ad.Tensor(np.array([[3.0, -1.0]]))
-        steps, lengths = M._upsample_ragged([a, b], np.array([2]))
-        got = np.stack([ad.val(s)[0] for s in steps])
+        x = ad.Tensor(np.array([[1.0, 5.0], [3.0, -1.0]]))
+        lay, a, b = M.Layout([2]).upsample()
+        got = ad.val(M._upsample(x, a, b))
         np.testing.assert_allclose(
             got, [[1, 5], [2, 2], [3, -1], [3, -1]])
-        assert lengths.tolist() == [4]
+        assert lay.lengths.tolist() == [4]
 
 
 class TestForward:
@@ -231,8 +230,8 @@ class TestForward:
         other = rand_seq(rng, 12, 5, "b")
         solo = M.forward_batch_train([a], model, update_stats=False)
         pair = M.forward_batch_train([a, other], model, update_stats=False)
-        h_solo = ad.val(solo.recon_steps[3])[0]
-        h_pair = ad.val(pair.recon_steps[3])[0]
+        h_solo = solo.reconstructions()[0][3]
+        h_pair = pair.reconstructions()[0][3]
         assert not np.allclose(h_solo, h_pair)
 
 
@@ -258,3 +257,132 @@ class TestCheckpoint:
         p.write_bytes(b"NOPE" + bytes(10))
         with pytest.raises(Exception):
             load_model(p)
+
+
+def _rand_cell(rng, d_x, d_h):
+    """A float64 cell at a well-conditioned random point."""
+    cell = BNLSTMCell(d_x, d_h, rng, eps=1e-2)
+    for p in cell.parameters():
+        p.value[...] = rng.normal(scale=0.5, size=p.value.shape)
+    for g in (cell.gamma_h, cell.gamma_x, cell.gamma_c):
+        g.value[...] = rng.uniform(0.6, 1.0, size=g.value.shape)
+    return cell
+
+
+def _per_step_layer(cell, X, lay):
+    """The layer as bnlstm_cell_step applied step by step on the tape:
+    per step (h_t, (f, i, o)) over that step's packed rows."""
+    b1 = int(lay.counts[0])
+    h = ad.add(np.zeros((b1, cell.d_h)), cell.h0)
+    c = ad.add(np.zeros((b1, cell.d_h)), cell.c0)
+    out = []
+    for t, b in enumerate(lay.counts):
+        b = int(b)
+        if ad.val(h).shape[0] > b:
+            h, c = ad.slice_rows(h, 0, b), ad.slice_rows(c, 0, b)
+        x_t = ad.slice_rows(X, int(lay.offsets[t]), int(lay.offsets[t]) + b)
+        h, c, gates = bnlstm_cell_step(x_t, h, c, cell, t + 1, "train")
+        out.append((h, gates))
+    return out
+
+
+class TestFusedLayer:
+    """The fused layer against the per-step tape, ragged and float64."""
+
+    LENGTHS = (13, 12, 12, 9, 7)
+
+    def setup_method(self):
+        rng = np.random.default_rng(21)
+        self.lay = M.Layout(self.LENGTHS)
+        self.x = rng.normal(size=(self.lay.rows, 5))
+        self.w_h = rng.normal(size=(self.lay.rows, 3))
+        self.w_g = rng.normal(size=(self.lay.rows, 9))
+        self.cell = _rand_cell(rng, 5, 3)
+
+    def fused_loss(self, X):
+        h, g = M.bnlstm_layer(self.cell, X, self.lay, want_gates=True)
+        return ad.add(ad.wsum(h, self.w_h), ad.wsum(g, self.w_g))
+
+    def per_step_loss(self, X):
+        terms = []
+        for t, (h, gates) in enumerate(_per_step_layer(self.cell, X,
+                                                       self.lay)):
+            r = slice(int(self.lay.offsets[t]), int(self.lay.offsets[t + 1]))
+            terms.append(ad.wsum(h, self.w_h[r]))
+            for j, gate in enumerate(gates):
+                terms.append(ad.wsum(gate, self.w_g[r, 3 * j:3 * j + 3]))
+        return ad.addn(terms)
+
+    def grads(self, loss_fn):
+        for p in self.cell.parameters():
+            p.grad[...] = 0.0
+        X = ad.Tensor(self.x.copy())
+        loss_fn(X).backward()
+        return [p.grad.copy() for p in self.cell.parameters()], X.grad
+
+    def test_stride_and_upsample_match_dense_rules_per_item(self):
+        # lengths 13 and 9 and 7 leave an odd last step to the stride; the
+        # upsample replicates each item's last step while longer items
+        # still average at that step
+        x = ad.Tensor(self.x)
+        strided, rows = self.lay.stride()
+        up, a, b = self.lay.upsample()
+        got_s = ad.val(ad.gather_rows(x, rows))
+        got_u = ad.val(M._upsample(x, a, b))
+        assert strided.lengths.tolist() == [7, 6, 6, 5, 4]
+        assert up.lengths.tolist() == [26, 24, 24, 18, 14]
+        for i in range(len(self.LENGTHS)):
+            item = self.x[self.lay.item_rows(i)]
+            np.testing.assert_array_equal(got_s[strided.item_rows(i)],
+                                          M._stride_dense(item))
+            np.testing.assert_array_equal(got_u[up.item_rows(i)],
+                                          M._upsample_dense(item))
+
+    def test_values_and_running_stats_match_per_step(self):
+        twin = BNLSTMCell(5, 3, np.random.default_rng(0), eps=1e-2)
+        for p, q in zip(twin.parameters(), self.cell.parameters()):
+            p.value[...] = q.value
+        h, g = M.bnlstm_layer(self.cell, self.x, self.lay, want_gates=True)
+        ref = _per_step_layer(twin, self.x, self.lay)
+        want_h = np.concatenate([ad.val(h_t) for h_t, _ in ref])
+        want_g = np.concatenate([np.concatenate([ad.val(x) for x in gates],
+                                                axis=1) for _, gates in ref])
+        np.testing.assert_allclose(ad.val(h), want_h, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ad.val(g), want_g, rtol=0, atol=1e-12)
+        for fused, step in zip(self.cell.sites(), twin.sites()):
+            assert fused.max_train_timestep == step.max_train_timestep == 13
+            for a, b in zip(fused.means + fused.vars, step.means + step.vars):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_gradients_match_per_step_tape(self):
+        got, got_x = self.grads(self.fused_loss)
+        want, want_x = self.grads(self.per_step_loss)
+        assert len(got) == 9
+        for name, a, b in zip(BNLSTMCell.FIELD_ORDER, got, want):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-10, err_msg=name)
+        np.testing.assert_allclose(got_x, want_x, rtol=0, atol=1e-10)
+
+    def test_gate_gradients_match_per_step_tape(self):
+        # only the gate outputs carry loss: their gradient alone must
+        # reach the parameters exactly as on the per-step tape
+        self.w_h[...] = 0.0
+        got, _ = self.grads(self.fused_loss)
+        want, _ = self.grads(self.per_step_loss)
+        assert np.abs(got[0]).max() > 0
+        for name, a, b in zip(BNLSTMCell.FIELD_ORDER, got, want):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-10, err_msg=name)
+
+    def test_central_difference_spot_check(self):
+        got, _ = self.grads(self.fused_loss)
+        h = 1e-6
+        for p, g, idx in ((self.cell.W_h, got[0], (1, 7)),
+                          (self.cell.gamma_c, got[5], (2,)),
+                          (self.cell.c0, got[8], (0,))):
+            orig = p.value[idx]
+            p.value[idx] = orig + h
+            up = float(ad.val(self.fused_loss(self.x)))
+            p.value[idx] = orig - h
+            down = float(ad.val(self.fused_loss(self.x)))
+            p.value[idx] = orig
+            assert abs((up - down) / (2 * h) - g[idx]) <= 1e-6 * max(
+                1.0, abs(g[idx]))
