@@ -23,6 +23,10 @@ class UnsupportedVersion(DataError):
     pass
 
 
+class MalformedFile(DataError):
+    """Content that does not parse: bad text, fields or trailing bytes."""
+
+
 # -- sequences and frames -----------------------------------------------
 
 class EmptySequence(DataError):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadRange, EmptyCodes, LengthMismatch
+from .errors import BadRange, EmptyCodes, LengthMismatch, MalformedFile
 from .model import EncodeResult
 
 MODES = ("events", "sample", "sample_and_events")
@@ -212,24 +212,54 @@ def write_video_hash(vh: VideoHash, path) -> None:
 
 
 def load_video_hash(path) -> VideoHash:
-    with open(path) as f:
-        header = f.readline().rstrip("\n")
-        fields = header.lstrip("# ").split(" ", 5)
-        if fields[:2] != ["evhash-vh", "1"]:
-            raise BadRange(f"{path}: not a video-hash text file")
-        mode = fields[2].split("=", 1)[1]
-        L = int(fields[3].split("=", 1)[1])
-        duration = float(fields[4].split("=", 1)[1])
-        video_id = fields[5].split("=", 1)[1]
-        ends, events = [], []
-        for line in f:
-            if not line.strip():
-                continue
+    """Read the text form; anything that does not parse raises a DataError.
+
+    Each code must be exactly ceil(L/8) bytes, as ``write_video_hash``
+    writes them.
+    """
+    try:
+        with open(path) as f:
+            lines = f.read().split("\n")
+    except UnicodeDecodeError as e:
+        raise MalformedFile(f"{path}: not a text file ({e})") from None
+    fields = lines[0].lstrip("# ").split(" ", 5)
+    if fields[:2] != ["evhash-vh", "1"]:
+        raise BadRange(f"{path}: not a video-hash text file")
+    keys = ["mode", "L", "duration", "id"]
+    values = [field.partition("=") for field in fields[2:]]
+    if [(key, eq) for key, eq, _ in values] != [(key, "=") for key in keys]:
+        raise MalformedFile(f"{path}: header needs {'=, '.join(keys)}=")
+    mode, L, duration, video_id = (value for _, _, value in values)
+    if mode not in MODES:
+        raise MalformedFile(f"{path}: unknown mode {mode!r}")
+    try:
+        L, duration = int(L), float(duration)
+    except ValueError as e:
+        raise MalformedFile(f"{path}: bad header value ({e})") from None
+    if L < 1 or not np.isfinite(duration):
+        raise MalformedFile(f"{path}: needs L >= 1 and a finite duration, "
+                            f"got L={L}, duration={duration}")
+    nbytes = (L + 7) // 8
+    ends, packed = [], []
+    for n, line in enumerate(lines[1:], 2):
+        if not line.strip():
+            continue
+        try:
             step, hexcode = line.split()
             ends.append(int(step))
-            packed = np.frombuffer(bytes.fromhex(hexcode), dtype=np.uint8)
-            events.append(np.unpackbits(packed, bitorder="little", count=L))
-    return VideoHash(video_id=video_id, L=L,
-                     events=np.stack(events).astype(np.uint8),
+            code = bytes.fromhex(hexcode)
+        except ValueError as e:
+            raise MalformedFile(f"{path}:{n}: expected 'end_step hexcode' "
+                                f"({e})") from None
+        if len(code) != nbytes:
+            raise MalformedFile(f"{path}:{n}: code has {len(code)} bytes, "
+                                f"L={L} needs {nbytes}")
+        packed.append(code)
+    if not packed:
+        raise EmptyCodes(f"{path}: hash has no events")
+    events = np.unpackbits(np.frombuffer(b"".join(packed), np.uint8)
+                           .reshape(len(packed), nbytes),
+                           axis=1, bitorder="little", count=L)
+    return VideoHash(video_id=video_id, L=L, events=events,
                      end_steps=np.asarray(ends, dtype=np.int64),
                      mode=mode, duration_seconds=duration)

@@ -1,3 +1,5 @@
+import struct
+
 import pytest
 
 from evhash.cli import main
@@ -26,6 +28,64 @@ class TestUsageErrors:
         code = main(["ingest", "--in", str(bad),
                      "--out", str(tmp_path / "o.feat")])
         assert code == 2
+
+
+class TestQueryMalformedInputs:
+    """``evhash query`` ends in exit code 2, not a traceback, on a corrupt
+    database or hash file."""
+
+    HASH = "# evhash-vh 1 mode=events L=16 duration=2.0 id=q\n3 0a0b\n"
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        vh = tmp_path / "q.vh"
+        vh.write_text(self.HASH)
+        db = tmp_path / "db.vhdb"
+        assert main(["db-build", "--out", str(db), "--mode", "events",
+                     str(vh)]) == 0
+        return db, vh
+
+    def query(self, db, vh, capsys):
+        code = main(["query", "--db", str(db), "--hash", str(vh)])
+        capsys.readouterr()
+        return code
+
+    def test_valid_files(self, files, capsys):
+        assert self.query(*files, capsys) == 0
+
+    @pytest.mark.parametrize("case", ["no events", "trailing bytes",
+                                      "non-utf8 id"])
+    def test_bad_database(self, files, capsys, case):
+        db, vh = files
+        data = db.read_bytes()
+        if case == "no events":  # event count 0, its code bytes dropped
+            data = data[:-6] + struct.pack("<I", 0)
+        elif case == "trailing bytes":
+            data += b"\0\0"
+        else:
+            data = data.replace(b"q", b"\xff")
+        db.write_bytes(data)
+        assert self.query(db, vh, capsys) == 2
+
+    @pytest.mark.parametrize("text", [
+        "# evhash-vh 1 mode=events\n3 0a0b\n",
+        HASH.replace("0a0b", "0a"),
+        HASH.replace("0a0b", "0a0b0c"),
+        HASH.replace("0a0b", "zz0b"),
+        HASH.replace("2.0", "nan"),
+        HASH.replace("events", "shots"),
+        HASH.split("\n")[0] + "\n",
+    ], ids=["short header", "short code", "long code", "bad hex",
+            "nan duration", "unknown mode", "no events"])
+    def test_bad_hash(self, files, capsys, text):
+        db, vh = files
+        vh.write_text(text)
+        assert self.query(db, vh, capsys) == 2
+
+    def test_binary_hash(self, files, capsys):
+        db, vh = files
+        vh.write_bytes(bytes(range(128, 256)))
+        assert self.query(db, vh, capsys) == 2
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from evhash.errors import BadRange, EmptyCodes, LengthMismatch
+from evhash.errors import BadRange, DataError, EmptyCodes, LengthMismatch
 from evhash.hashing import (
     EventDetectConfig,
     detect_event_ends,
@@ -226,3 +226,58 @@ class TestTextForm:
         assert back.duration_seconds == vh.duration_seconds
         np.testing.assert_array_equal(back.events, vh.events)
         np.testing.assert_array_equal(back.end_steps, vh.end_steps)
+
+
+VH_HEADER = "# evhash-vh 1 mode=events L=12 duration=9.6 id=clip\n"
+
+# Malformed .vh texts, each a DataError on load: a valid file is
+# VH_HEADER followed by "end_step hexcode" lines of ceil(12/8) = 2 bytes.
+BAD_VH = {
+    "short header": "# evhash-vh 1 mode=events L=12\n3 0a0b\n",
+    "no header values": "# evhash-vh 1\n3 0a0b\n",
+    "field names": "# evhash-vh 1 mode=events N=12 duration=9.6 id=x\n"
+                   "3 0a0b\n",
+    "bad L": VH_HEADER.replace("L=12", "L=twelve") + "3 0a0b\n",
+    "L zero": VH_HEADER.replace("L=12", "L=0") + "3 0a0b\n",
+    "unknown mode": VH_HEADER.replace("mode=events", "mode=shots")
+                    + "3 0a0b\n",
+    "nan duration": VH_HEADER.replace("9.6", "nan") + "3 0a0b\n",
+    "infinite duration": VH_HEADER.replace("9.6", "inf") + "3 0a0b\n",
+    "bad hex": VH_HEADER + "3 0a0b\n6 zz0b\n",
+    "bad step": VH_HEADER + "three 0a0b\n",
+    "extra field": VH_HEADER + "3 0a0b 7\n",
+    "short code": VH_HEADER + "3 0a0b\n6 0a\n",
+    "long code": VH_HEADER + "3 0a0b0c\n",
+    "ends not increasing": VH_HEADER + "3 0a0b\n3 0a0b\n",
+}
+
+
+class TestTextFormErrors:
+    def test_valid_text_loads(self, tmp_path):
+        path = tmp_path / "ok.vh"
+        path.write_text(VH_HEADER + "3 0a0b\n6 ff0f\n")
+        vh = load_video_hash(path)
+        assert (vh.video_id, vh.mode, vh.L, vh.duration_seconds) == \
+            ("clip", "events", 12, 9.6)
+        np.testing.assert_array_equal(vh.end_steps, [3, 6])
+        np.testing.assert_array_equal(vh.events[1], [1] * 12)
+        np.testing.assert_array_equal(vh.events[0][:4], [0, 1, 0, 1])
+
+    @pytest.mark.parametrize("case", sorted(BAD_VH))
+    def test_malformed_text_is_data_error(self, tmp_path, case):
+        path = tmp_path / "bad.vh"
+        path.write_text(BAD_VH[case])
+        with pytest.raises(DataError):
+            load_video_hash(path)
+
+    def test_no_events_is_empty_codes(self, tmp_path):
+        path = tmp_path / "bad.vh"
+        path.write_text(VH_HEADER + "\n")
+        with pytest.raises(EmptyCodes):
+            load_video_hash(path)
+
+    def test_binary_file_is_data_error(self, tmp_path):
+        path = tmp_path / "bad.vh"
+        path.write_bytes(b"\x89PNG\r\n\x1a\n\xff\xfe" + bytes(range(256)))
+        with pytest.raises(DataError):
+            load_video_hash(path)
