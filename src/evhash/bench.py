@@ -175,11 +175,10 @@ class EvalReport:
     query_count_restricted: int = 0
 
 
-def _accuracies(results, k_max):
-    return [topk_accuracy(results, k) for k in range(1, k_max + 1)]
-
-
-def _bucket_rows(hashes: dict[str, VideoHash], durations, results_by_source):
+def _summary(results, hashes: dict[str, VideoHash], durations, k_max):
+    """Top-k accuracies for k = 1..k_max and per-duration-bucket
+    (label, mean AHL, top-5) rows of (source id, ranked ids) results."""
+    accs = [topk_accuracy(results, k) for k in range(1, k_max + 1)]
     rows = []
     for bucket, label in enumerate(BUCKET_LABELS):
         vids = [vid for vid, dur in durations.items()
@@ -188,9 +187,9 @@ def _bucket_rows(hashes: dict[str, VideoHash], durations, results_by_source):
             mean_ahl = float(np.mean([ahl(hashes[v]) for v in vids]))
         else:
             mean_ahl = float("nan")
-        results = [r for v in vids for r in results_by_source.get(v, [])]
-        rows.append((label, mean_ahl, topk_accuracy(results, 5)))
-    return rows
+        in_bucket = [r for r in results if r[0] in vids]
+        rows.append((label, mean_ahl, topk_accuracy(in_bucket, 5)))
+    return accs, rows
 
 
 def run_eval(videos: list[FrameSequence], video_ids: list[str],
@@ -227,40 +226,30 @@ def run_eval(videos: list[FrameSequence], video_ids: list[str],
             db_add(dbs[mode], vh)
             db_hashes[mode][vid] = vh
 
-    results = {mode: [] for mode in modes}
-    results_r = {mode: [] for mode in modes}
-    by_source = {mode: {} for mode in modes}
-    by_source_r = {mode: {} for mode in modes}
+    results = {mode: [] for mode in modes}  # (source id, ranked ids)
     for qi, spec in enumerate(copies):
         crop = crop_frames(by_id[spec.source_id], spec)
         feats = normalize(extract_features(crop, f"{spec.source_id}:q{qi}"),
                           stats)
         enc = encode(feats, model)
-        restricted = spec.slide % 4 == 2
         for mode in modes:
             vh = hash_video(enc, mode, detect_cfg, T_s,
                             f"{spec.source_id}:q{qi}", float(spec.T_c))
             ranked = [vid for vid, _ in query_topk(dbs[mode], vh, k_max)]
-            rec = (spec.source_id, ranked)
-            results[mode].append(rec)
-            by_source[mode].setdefault(spec.source_id, []).append(rec)
-            if restricted:
-                results_r[mode].append(rec)
-                by_source_r[mode].setdefault(spec.source_id, []).append(rec)
+            results[mode].append((spec.source_id, ranked))
         if progress is not None and (qi + 1) % 200 == 0:
             progress(qi + 1, len(copies))
 
     report = EvalReport(modes=tuple(modes), k_max=k_max)
     report.query_count = len(copies)
-    report.query_count_restricted = sum(1 for s in copies if s.slide % 4 == 2)
+    restricted = [spec.slide % 4 == 2 for spec in copies]
+    report.query_count_restricted = sum(restricted)
     for mode in modes:
-        report.topk[mode] = _accuracies(results[mode], k_max)
-        report.topk_restricted[mode] = _accuracies(results_r[mode], k_max)
-        report.buckets[mode] = _bucket_rows(db_hashes[mode], durations,
-                                            by_source[mode])
-        report.buckets_restricted[mode] = _bucket_rows(db_hashes[mode],
-                                                       durations,
-                                                       by_source_r[mode])
+        report.topk[mode], report.buckets[mode] = _summary(
+            results[mode], db_hashes[mode], durations, k_max)
+        report.topk_restricted[mode], report.buckets_restricted[mode] = \
+            _summary([r for r, keep in zip(results[mode], restricted) if keep],
+                     db_hashes[mode], durations, k_max)
     return report
 
 

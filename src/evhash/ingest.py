@@ -11,8 +11,9 @@ FSEQ  magic "FSEQ", version u8=1, width u16, height u16, fps_num u32,
       fps_den u32, frame_count u32, then frame_count frames of
       width*height bytes, row-major.
 FEAT  magic "FEAT", version u8=1, normalized u8, D u32, M u32, then
-      M*D float32, row-major.
-NRM1  magic "NRM1", version u8=1, D u32, D float32 means, D float32 stds.
+      M*D finite float32, row-major.
+NRM1  magic "NRM1", version u8=1, D u32, D finite float32 means, D
+      finite positive float32 stds.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .errors import (
     EmptyFrame,
     EmptySequence,
     EmptyTrainSet,
+    MalformedFile,
     TruncatedFile,
     UnsupportedVersion,
     WrongDimensions,
@@ -160,6 +162,8 @@ def load_feat(path, video_id: str | None = None) -> FeatureSequence:
     feats = np.frombuffer(data, dtype="<f4", count=d * m,
                           offset=_FEAT_HEADER.size)
     feats = feats.reshape(m, d).astype(np.float64)
+    if not np.isfinite(feats).all():
+        raise MalformedFile(f"{path}: non-finite feature values")
     if video_id is None:
         video_id = Path(path).stem
     return FeatureSequence(video_id, feats, normalized=bool(normalized))
@@ -192,6 +196,10 @@ def load_norm_stats(path) -> NormStats:
                          offset=_NRM_HEADER.size).astype(np.float64)
     std = np.frombuffer(data, dtype="<f4", count=d,
                         offset=_NRM_HEADER.size + 4 * d).astype(np.float64)
+    if not (np.isfinite(mean).all() and np.isfinite(std).all()
+            and (std > 0).all()):
+        raise MalformedFile(f"{path}: a mean is not finite or a std is not "
+                            f"finite and positive")
     return NormStats(mean=mean, std=std)
 
 

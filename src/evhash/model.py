@@ -12,19 +12,20 @@ boundaries replicate), run through the next layer, upsampled again, then
 through two more layers; a final clamped arctanh emits feature vectors,
 cut to the requested length.
 
-Training-mode forwards run on the autodiff tape and couple batch items
-through the per-timestep batch statistics; batch items may have distinct
-lengths, in which case the statistics at step t use the items that reach
-t. A training batch is packed time-major into one (sum_t B_t, d) array,
-B_t being the number of items still active at step t (see ``Layout``).
-Each BN-LSTM layer is a single tape node over that array with a
-hand-written BPTT backward, and the strides, upsamplings, arctanhs and
-the sign are one node each, so a step's tape stays small whatever the
-sequence length. Inference-mode forwards are plain numpy with running
-statistics.
+One runner, :func:`bnlstm_layer`, serves training and inference. A
+batch is packed time-major into one (sum_t B_t, d) array, B_t being the
+number of items still active at step t (see ``Layout``); ``encode`` and
+``decode`` run a single video as a batch of one. Training normalizes
+with the per-timestep batch statistics, which couple the batch items
+(the statistics at step t use the items that reach t); each layer is
+then a single tape node with a hand-written BPTT backward, and the
+strides, upsamplings, arctanhs and the sign are one node each, so a
+step's tape stays small whatever the sequence length. Inference
+normalizes with the per-timestep running statistics instead and runs on
+plain arrays without a tape.
 
 Checkpoint format MCBN (little-endian): magic "MCBN", version u8=1,
-layer count u8, then per layer: d_x u32, d_h u32, the float32 tensors
+layer count u8 (8), then per layer: d_x u32, d_h u32, the float32 tensors
 W_h, W_x, b, gamma_h, gamma_x, gamma_c, beta_c, h0, c0, and the three
 statistic sites (recurrent, input, cell), each as max_train_timestep u32
 followed per timestep by a mean vector then a variance vector (float32).
@@ -34,6 +35,7 @@ length u32.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,6 +49,7 @@ from .errors import (
     BadMagic,
     EmptyCodes,
     EmptySequence,
+    MalformedFile,
     ShapeMismatch,
     TruncatedFile,
     UnsupportedVersion,
@@ -71,28 +74,16 @@ class BNLSTMCell:
     FIELD_ORDER = ("W_h", "W_x", "b", "gamma_h", "gamma_x",
                    "gamma_c", "beta_c", "h0", "c0")
 
-    def __init__(self, d_x: int, d_h: int, rng: np.random.Generator,
-                 momentum=0.1, eps=1e-5, dtype=np.float64, tag=""):
-        self.d_x = d_x
-        self.d_h = d_h
-        kx = 1.0 / np.sqrt(d_x)
-        kh = 1.0 / np.sqrt(d_h)
-
-        def par(value, name):
-            return Parameter(np.asarray(value, dtype=dtype), f"{tag}.{name}")
-
-        self.W_h = par(rng.uniform(-kh, kh, size=(d_h, 4 * d_h)), "W_h")
-        self.W_x = par(rng.uniform(-kx, kx, size=(d_x, 4 * d_h)), "W_x")
-        self.b = par(np.zeros(4 * d_h), "b")
-        self.gamma_h = par(np.full(4 * d_h, 0.1), "gamma_h")
-        self.gamma_x = par(np.full(4 * d_h, 0.1), "gamma_x")
-        self.gamma_c = par(np.full(d_h, 0.1), "gamma_c")
-        self.beta_c = par(np.zeros(d_h), "beta_c")
-        self.h0 = par(np.zeros(d_h), "h0")
-        self.c0 = par(np.zeros(d_h), "c0")
-        self.site_h = BNSiteStats(4 * d_h, momentum, eps, dtype)
-        self.site_x = BNSiteStats(4 * d_h, momentum, eps, dtype)
-        self.site_c = BNSiteStats(d_h, momentum, eps, dtype)
+    def __init__(self, values, momentum=0.1, eps=1e-5, tag=""):
+        """``values`` are the nine parameter arrays in FIELD_ORDER; the
+        running statistics start empty, in the arrays' dtype."""
+        for name, value in zip(self.FIELD_ORDER, values):
+            setattr(self, name, Parameter(value, f"{tag}.{name}"))
+        self.d_x, self.d_h = self.W_x.value.shape[0], self.W_h.value.shape[0]
+        dtype = self.W_h.value.dtype
+        self.site_h = BNSiteStats(4 * self.d_h, momentum, eps, dtype)
+        self.site_x = BNSiteStats(4 * self.d_h, momentum, eps, dtype)
+        self.site_c = BNSiteStats(self.d_h, momentum, eps, dtype)
         self.workspace = None  # the fused training layer's arrays
 
     def parameters(self):
@@ -100,6 +91,20 @@ class BNLSTMCell:
 
     def sites(self):
         return [self.site_h, self.site_x, self.site_c]
+
+
+def init_cell(d_x: int, d_h: int, rng: np.random.Generator, momentum=0.1,
+              eps=1e-5, dtype=np.float64, tag="") -> BNLSTMCell:
+    """A freshly initialized cell: weights uniform(-k, k) with
+    k = 1/sqrt(fan-in), BN scales 0.1; biases, shifts and initial states
+    zero."""
+    kx, kh = 1.0 / np.sqrt(d_x), 1.0 / np.sqrt(d_h)
+    values = (rng.uniform(-kh, kh, size=(d_h, 4 * d_h)),
+              rng.uniform(-kx, kx, size=(d_x, 4 * d_h)),
+              np.zeros(4 * d_h), np.full(4 * d_h, 0.1), np.full(4 * d_h, 0.1),
+              np.full(d_h, 0.1), np.zeros(d_h), np.zeros(d_h), np.zeros(d_h))
+    return BNLSTMCell([np.asarray(v, dtype=dtype) for v in values],
+                      momentum, eps, tag)
 
 
 # -- single step ----------------------------------------------------------
@@ -154,7 +159,8 @@ def bnlstm_cell_step(x_t, h_prev, c_prev, cell: BNLSTMCell, t: int,
     Returns (h_t, c_t, (f, i, o)) with post-sigmoid gate values. In
     training mode the inputs may be tape tensors and gradients flow
     through the batch statistics; in inference mode plain arrays go in
-    and come out.
+    and come out. This is the reference :func:`bnlstm_layer` is tested
+    against; the program itself runs that layer.
     """
     if val(x_t).shape[-1] != cell.d_x or val(h_prev).shape[-1] != cell.d_h:
         raise ShapeMismatch(
@@ -180,35 +186,13 @@ def bnlstm_cell_step(x_t, h_prev, c_prev, cell: BNLSTMCell, t: int,
     return h_t, c_t, gates
 
 
-# -- stacks ----------------------------------------------------------------
-
-
-class EncoderStack:
-    """Two full-rate layers, stride, a third layer, stride, the code layer."""
-
-    def __init__(self, D, hidden_dims, rng, momentum, eps, dtype):
-        dims_in = (D, *hidden_dims[:-1])
-        self.cells = [
-            BNLSTMCell(dx, dh, rng, momentum, eps, dtype, tag=f"enc{i + 1}")
-            for i, (dx, dh) in enumerate(zip(dims_in, hidden_dims))
-        ]
-        self.L = hidden_dims[-1]
-
-
-class DecoderStack:
-    """The mirrored stack; its last hidden dimension equals D."""
-
-    def __init__(self, D, enc_hidden_dims, rng, momentum, eps, dtype):
-        hidden = (enc_hidden_dims[2], enc_hidden_dims[1],
-                  enc_hidden_dims[0], D)
-        dims_in = (enc_hidden_dims[-1], *hidden[:-1])
-        self.cells = [
-            BNLSTMCell(dx, dh, rng, momentum, eps, dtype, tag=f"dec{i + 1}")
-            for i, (dx, dh) in enumerate(zip(dims_in, hidden))
-        ]
+# -- the autoencoder ---------------------------------------------------------
 
 
 class Autoencoder:
+    """Four encoder cells (the last of width L) and four decoder cells
+    (the last of width D)."""
+
     def __init__(self, D, L, encoder, decoder, momentum, eps, dtype):
         self.D = D
         self.L = L
@@ -221,7 +205,7 @@ class Autoencoder:
 
     @property
     def cells(self):
-        return self.encoder.cells + self.decoder.cells
+        return self.encoder + self.decoder
 
     def parameters(self):
         return [p for cell in self.cells for p in cell.parameters()]
@@ -229,16 +213,22 @@ class Autoencoder:
 
 def build_model(D=1024, L=64, encoder_dims=(256, 256, 64), momentum=0.1,
                 eps=1e-5, seed=0, dtype=np.float64) -> Autoencoder:
-    """Construct a freshly initialized autoencoder.
+    """Construct a freshly initialized autoencoder (see :func:`init_cell`).
 
-    Weights are uniform(-k, k) with k = 1/sqrt(fan-in); the BN scales
-    start at 0.1; biases, shifts and initial states start at zero.
+    The decoder mirrors the encoder: its hidden widths are the encoder's
+    third, second and first, then D.
     """
     rng = np.random.default_rng(seed)
-    hidden = (*encoder_dims, L)
-    enc = EncoderStack(D, hidden, rng, momentum, eps, dtype)
-    dec = DecoderStack(D, hidden, rng, momentum, eps, dtype)
-    return Autoencoder(D, L, enc, dec, momentum, eps, dtype)
+
+    def stack(prefix, d_in, hidden):
+        dims = zip((d_in, *hidden[:-1]), hidden)
+        return [init_cell(dx, dh, rng, momentum, eps, dtype, f"{prefix}{i}")
+                for i, (dx, dh) in enumerate(dims, start=1)]
+
+    e1, e2, e3 = encoder_dims
+    encoder = stack("enc", D, (e1, e2, e3, L))
+    decoder = stack("dec", L, (e3, e2, e1, D))
+    return Autoencoder(D, L, encoder, decoder, momentum, eps, dtype)
 
 
 def encoder_len(M: int) -> int:
@@ -262,123 +252,17 @@ def _adjacent_hamming(codes: np.ndarray) -> np.ndarray:
     return (codes[1:] != codes[:-1]).sum(axis=1).astype(np.int64)
 
 
-# -- dense single-video inference ------------------------------------------
+def _encode_result(codes: np.ndarray, gates: np.ndarray, L: int):
+    """One video's EncodeResult from its +-1 code rows and (f, i, o) gate
+    rows (M_e, 3 L)."""
+    bits = ((codes + 1) / 2).astype(np.uint8)
+    return EncodeResult(codes=bits, d_series=_adjacent_hamming(bits),
+                        gates=tuple(gates[:, j * L:(j + 1) * L]
+                                    for j in range(3)),
+                        M_e=bits.shape[0])
 
 
-def _infer_layer(cell: BNLSTMCell, X: np.ndarray, gates: bool = False):
-    """Run one cell over a (M, d_x) sequence with running statistics.
-
-    With ``gates`` it returns (hidden states, (f, i, o) post-sigmoid
-    gate records), otherwise the hidden states alone.
-    """
-    M = X.shape[0]
-    d = cell.d_h
-    mx = X @ cell.W_x.value
-    h = cell.h0.value[None, :]
-    c = cell.c0.value[None, :]
-    out = np.empty((M, d), dtype=X.dtype)
-    fio = tuple(np.empty((M, d), dtype=X.dtype) for _ in range(3)) \
-        if gates else ()
-    gh, gx, bb = cell.gamma_h.value, cell.gamma_x.value, cell.b.value
-    for t in range(1, M + 1):
-        pre = bn2_add(h @ cell.W_h.value, mx[t - 1:t], gh, gx, bb,
-                      cell.site_h, cell.site_x, t, "infer")
-        if gates:
-            sig = expit(pre[0])
-            fio[0][t - 1] = sig[:d]
-            fio[1][t - 1] = sig[d:2 * d]
-            fio[2][t - 1] = sig[3 * d:]
-        c = _cell_state(pre, c, d)
-        bn_c = bn_transform(c, cell.gamma_c.value, cell.beta_c.value,
-                            cell.site_c, t, "infer")
-        h = _cell_out(pre, bn_c, d)
-        out[t - 1] = h[0]
-    return (out, fio) if gates else out
-
-
-def _stride_dense(X: np.ndarray) -> np.ndarray:
-    """Keep 1-based even steps, plus the last step when the length is odd."""
-    M = X.shape[0]
-    idx = list(range(1, M, 2))
-    if M % 2 == 1:
-        idx.append(M - 1)
-    return X[idx]
-
-
-def _upsample_dense(X: np.ndarray) -> np.ndarray:
-    """Double the length; inserted steps average their flanking steps."""
-    n, d = X.shape
-    out = np.empty((2 * n, d), dtype=X.dtype)
-    out[0::2] = X
-    out[1:2 * n - 1:2] = 0.5 * (X[:-1] + X[1:])
-    out[2 * n - 1] = X[-1]
-    return out
-
-
-def _encoder_hidden_infer(model: Autoencoder, X: np.ndarray):
-    """Layer-4 hidden states (M_e, L) and gate records, running stats."""
-    e1, e2, e3, e4 = model.encoder.cells
-    X = _infer_layer(e1, X)
-    X = _infer_layer(e2, X)
-    X = _infer_layer(e3, _stride_dense(X))
-    return _infer_layer(e4, _stride_dense(X), gates=True)
-
-
-def encode(seq: FeatureSequence, model: Autoencoder,
-           mode: str = "infer") -> EncodeResult:
-    """Encode one feature sequence into binary codes.
-
-    The gate record comes from the last encoder layer; d_series[t] is the
-    Hamming distance between codes t+1 and t.
-    """
-    if seq.M < 1:
-        raise EmptySequence(f"{seq.video_id}: empty feature sequence")
-    if not seq.normalized:
-        raise ValueError(f"{seq.video_id}: encode expects normalized features")
-    if seq.D != model.D:
-        raise ShapeMismatch(f"features D={seq.D}, model D={model.D}")
-    if mode == "train":
-        fwd = forward_batch_train([seq], model, update_stats=False)
-        return fwd.encode_results()[0]
-    X = seq.features.astype(model.dtype)
-    hidden, fio = _encoder_hidden_infer(model, X)
-    pre_bin = np.arctanh(
-        np.clip(hidden, -1 + ARCTANH_MARGIN, 1 - ARCTANH_MARGIN))
-    codes = (pre_bin >= 0).astype(np.uint8)
-    return EncodeResult(codes=codes, d_series=_adjacent_hamming(codes),
-                        gates=fio, M_e=codes.shape[0])
-
-
-def decode(codes: EncodeResult, model: Autoencoder, target_len: int,
-           mode: str = "infer") -> np.ndarray:
-    """Reconstruct (target_len, D) features from binary codes."""
-    if codes.M_e < 1:
-        raise EmptyCodes("no codes to decode")
-    if mode != "infer":
-        raise ValueError("training-mode decoding runs through the trainer")
-    X = (codes.codes.astype(model.dtype) * 2.0 - 1.0)
-    d1, d2, d3, d4 = model.decoder.cells
-    X = _upsample_dense(_infer_layer(d1, X))
-    X = _upsample_dense(_infer_layer(d2, X))
-    X = _infer_layer(d4, _infer_layer(d3, X))
-    out = np.arctanh(np.clip(X, -1 + ARCTANH_MARGIN, 1 - ARCTANH_MARGIN))
-    if len(out) >= target_len:
-        return out[:target_len]
-    pad = np.repeat(out[-1:], target_len - len(out), axis=0)
-    return np.concatenate([out, pad], axis=0)
-
-
-def forward(seq: FeatureSequence, model: Autoencoder,
-            mode: str = "infer"):
-    """Encode then decode back to the input length."""
-    if mode == "train":
-        fwd = forward_batch_train([seq], model, update_stats=False)
-        return fwd.reconstructions()[0], fwd.encode_results()[0]
-    enc = encode(seq, model, mode)
-    return decode(enc, model, seq.M, mode), enc
-
-
-# -- packed training forward ------------------------------------------------
+# -- the packed layout -----------------------------------------------------
 
 
 class Layout:
@@ -460,7 +344,7 @@ class _Workspace:
         self.claimed = False
 
     def take(self, name, shape, dtype):
-        size = int(np.prod(shape))
+        size = math.prod(shape)
         buf = self.flat.get(name)
         if buf is None or buf.dtype != dtype or buf.size < size:
             buf = self.flat[name] = np.empty(size, dtype=dtype)
@@ -485,21 +369,42 @@ def _gate_affine(d, dtype):
     return scale, shift
 
 
-def bnlstm_layer(cell: BNLSTMCell, X, lay: Layout, update_stats=True,
+def _running_stats(site: BNSiteStats, steps: int):
+    """(means, 1 / sqrt(var + eps)) of a site at steps 1..steps, one row
+    per step; steps past max_train_timestep reuse the last trained one."""
+    last = max(1, min(steps, site.max_train_timestep))
+    mean, var = (np.array(x) for x in zip(*map(site.stats_for,
+                                               range(1, last + 1))))
+    rows = np.minimum(np.arange(steps), last - 1)
+    return mean[rows], (1.0 / np.sqrt(var + site.eps))[rows]
+
+
+def bnlstm_layer(cell: BNLSTMCell, X, lay: Layout, stats="train",
                  want_gates=False):
-    """Run a cell over a packed batch as one tape node.
+    """Run a cell over a packed batch.
 
     ``X`` is the packed (lay.rows, d_x) input, a tape tensor or an array.
-    Returns the packed hidden states H, and with ``want_gates`` also a
-    second node G (lay.rows, 3 d_h) holding the post-sigmoid (f, i, o)
-    gates. Batch statistics, running-statistic updates and values are
-    those of :func:`bnlstm_cell_step` applied step by step.
+    Returns the packed hidden states H, and with ``want_gates`` also G
+    (lay.rows, 3 d_h), the post-sigmoid (f, i, o) gates side by side.
+    ``stats`` picks the normalizer of every BN site:
+
+    - ``"train"``: each step's batch statistics, momentum-updating the
+      running ones;
+    - ``"batch"``: the same without the update;
+    - ``"running"``: the stored running statistics of each step.
+
+    Values and updates are those of :func:`bnlstm_cell_step` applied step
+    by step (in its "train" or "infer" mode). With batch statistics H and
+    G are tape nodes; the backward pass is hand-written BPTT, which
+    overwrites the cached normalized values with their gradients, so a
+    tape runs backward once. With running statistics they are plain
+    arrays, and the cell's workspace is left alone.
 
     The input GEMM is hoisted out of the recurrence into one product; the
     recurrent one runs weight-first against a contiguous copy of W_h.T.
-    The backward pass is hand-written BPTT; it overwrites the cached
-    normalized values with their gradients, so a tape runs backward once.
     """
+    if stats not in ("train", "batch", "running"):
+        raise ValueError(f"unknown statistics {stats!r}")
     xv = val(X)
     if xv.ndim != 2 or xv.shape != (lay.rows, cell.d_x):
         raise ShapeMismatch(
@@ -508,7 +413,8 @@ def bnlstm_layer(cell: BNLSTMCell, X, lay: Layout, update_stats=True,
     d, n, dt = cell.d_h, lay.rows, xv.dtype
     steps, b1 = len(lay.counts), int(lay.counts[0])
     bounds = [(int(lay.offsets[t]), int(lay.counts[t])) for t in range(steps)]
-    ws = _claim_workspace(cell)
+    running = stats == "running"
+    ws = _Workspace() if running else _claim_workspace(cell)
     XA = ws.take("xa", (n, 4 * d), dt)    # normalized recurrent term
     XU = ws.take("xu", (n, 4 * d), dt)    # normalized input term
     ACT = ws.take("act", (n, 4 * d), dt)  # f, i, tanh(g), o
@@ -521,9 +427,15 @@ def bnlstm_layer(cell: BNLSTMCell, X, lay: Layout, update_stats=True,
     S = ws.take("s", (b1, 4 * d), dt)
     C = ws.take("c", (b1, d), dt)
     Q = ws.take("q", (b1, d), dt)
-    inv_a = np.empty((steps, 4 * d), dt)
-    inv_u = np.empty((steps, 4 * d), dt)
-    inv_c = np.empty((steps, d), dt)
+    # before the temporary W_h.T copy: arrays the backward keeps, allocated
+    # after it, pin its freed heap pages (+11 MB peak RSS in c10's step)
+    if running:
+        (m_a, inv_a), (m_u, inv_u), (m_c, inv_c) = (
+            _running_stats(site, steps) for site in cell.sites())
+    else:
+        inv_a = np.empty((steps, 4 * d), dt)
+        inv_u = np.empty((steps, 4 * d), dt)
+        inv_c = np.empty((steps, d), dt)
 
     W_h, W_x = cell.W_h.value, cell.W_x.value
     W_hT = np.ascontiguousarray(W_h.T)
@@ -531,15 +443,25 @@ def bnlstm_layer(cell: BNLSTMCell, X, lay: Layout, update_stats=True,
     scale, shift = _gate_affine(d, dt)
     gh_s, gx_s, b_s = gh * scale, gx * scale, cell.b.value * scale
     np.matmul(xv, W_x, out=XU)
+    if running:
+        step, _ = lay.steps_items()
+        XU -= m_u[step]
+        XU *= inv_u[step]
     HP[:b1] = cell.h0.value
     CP[:b1] = cell.c0.value
     for t, (start, B) in enumerate(bounds):
         r = slice(start, start + B)
-        xa, xu, act, c = XA[r], XU[r], ACT[r], C[:B]
+        xa, xu, act, c, xc = XA[r], XU[r], ACT[r], C[:B], XC[r]
         np.copyto(xa, np.matmul(W_hT, HP[r].T,
                                 out=flat[:4 * d * B].reshape(4 * d, B)).T)
-        _, mu_a, var_a, inv_a[t] = bn_normalize(xa, cell.site_h.eps, out=xa)
-        _, mu_u, var_u, inv_u[t] = bn_normalize(xu, cell.site_x.eps, out=xu)
+        if running:
+            xa -= m_a[t]
+            xa *= inv_a[t]
+        else:
+            _, mu_a, var_a, inv_a[t] = bn_normalize(xa, cell.site_h.eps,
+                                                    out=xa)
+            _, mu_u, var_u, inv_u[t] = bn_normalize(xu, cell.site_x.eps,
+                                                    out=xu)
         np.multiply(xa, gh_s, out=act)
         act += np.multiply(xu, gx_s, out=S[:B])
         act += b_s
@@ -548,12 +470,16 @@ def bnlstm_layer(cell: BNLSTMCell, X, lay: Layout, update_stats=True,
         act += shift
         np.multiply(act[:, :d], CP[r], out=c)
         c += np.multiply(act[:, d:2 * d], act[:, 2 * d:3 * d], out=Q[:B])
-        _, mu_c, var_c, inv_c[t] = bn_normalize(c, cell.site_c.eps, out=XC[r])
-        tc = np.multiply(XC[r], gc, out=TC[r])
+        if running:
+            np.subtract(c, m_c[t], out=xc)
+            xc *= inv_c[t]
+        else:
+            _, mu_c, var_c, inv_c[t] = bn_normalize(c, cell.site_c.eps, out=xc)
+        tc = np.multiply(xc, gc, out=TC[r])
         tc += cell.beta_c.value
         np.tanh(tc, out=tc)
         np.multiply(act[:, 3 * d:], tc, out=H[r])
-        if update_stats:
+        if stats == "train":
             cell.site_h.update(t + 1, mu_a, var_a)
             cell.site_x.update(t + 1, mu_u, var_u)
             cell.site_c.update(t + 1, mu_c, var_c)
@@ -561,6 +487,11 @@ def bnlstm_layer(cell: BNLSTMCell, X, lay: Layout, update_stats=True,
             nb = bounds[t + 1][1]
             HP[r.stop:r.stop + nb] = H[r][:nb]
             CP[r.stop:r.stop + nb] = c[:nb]
+
+    G = np.concatenate((ACT[:, :2 * d], ACT[:, 3 * d:]), axis=1) \
+        if want_gates else None
+    if running:
+        return (H, G) if want_gates else H
 
     params = [cell.W_h, cell.W_x, cell.b, cell.gamma_h, cell.gamma_x,
               cell.gamma_c, cell.beta_c, cell.h0, cell.c0]
@@ -640,8 +571,7 @@ def bnlstm_layer(cell: BNLSTMCell, X, lay: Layout, update_stats=True,
         gate_grad.append(g)
         ad._buf(out)  # the layer's backward must run to pass it on
 
-    gates = np.concatenate((ACT[:, :2 * d], ACT[:, 3 * d:]), axis=1)
-    return out, Tensor(gates, (out,), gates_bwd)
+    return out, Tensor(G, (out,), gates_bwd)
 
 
 @dataclass
@@ -665,23 +595,44 @@ class BatchForward:
     recon: Tensor
 
     def encode_results(self):
-        out = []
-        L = self.model.L
-        for i in range(len(self.inp.lengths)):
-            rows = self.enc.item_rows(i)
-            codes = ((val(self.codes)[rows] + 1) / 2).astype(np.uint8)
-            gates = val(self.gates)[rows]
-            fio = tuple(gates[:, j * L:(j + 1) * L] for j in range(3))
-            out.append(EncodeResult(codes=codes,
-                                    d_series=_adjacent_hamming(codes),
-                                    gates=fio, M_e=codes.shape[0]))
-        return out
+        """Per item, its EncodeResult."""
+        codes, gates = val(self.codes), val(self.gates)
+        rows = [self.enc.item_rows(i) for i in range(len(self.inp.lengths))]
+        return [_encode_result(codes[r], gates[r], self.model.L) for r in rows]
 
     def reconstructions(self):
         """Per item, its first M_i decoder rows (the cut to length M)."""
         rv = val(self.recon)
         return [rv[self.dec.item_rows(i, int(m))]
                 for i, m in enumerate(self.inp.lengths)]
+
+
+def _encoder(model: Autoencoder, x, inp: Layout, stats: str):
+    """Two full-rate layers, stride, a third layer, stride, the code
+    layer. Returns the encoder layout and the code layer's hidden states
+    and (f, i, o) gates over it."""
+    e1, e2, e3, e4 = model.encoder
+    s = bnlstm_layer(e1, x, inp, stats)
+    s = bnlstm_layer(e2, s, inp, stats)
+    lay3, rows = inp.stride()
+    s = bnlstm_layer(e3, ad.gather_rows(s, rows), lay3, stats)
+    enc, rows = lay3.stride()
+    hid, gates = bnlstm_layer(e4, ad.gather_rows(s, rows), enc, stats,
+                              want_gates=True)
+    return enc, hid, gates
+
+
+def _decoder(model: Autoencoder, codes, enc: Layout, stats: str):
+    """The mirrored stack from +-1 codes over ``enc``: (decoder layout,
+    reconstructed features)."""
+    d1, d2, d3, d4 = model.decoder
+    s = bnlstm_layer(d1, codes, enc, stats)
+    lay, a, b = enc.upsample()
+    s = bnlstm_layer(d2, _upsample(s, a, b), lay, stats)
+    dec, a, b = lay.upsample()
+    s = bnlstm_layer(d3, _upsample(s, a, b), dec, stats)
+    s = bnlstm_layer(d4, s, dec, stats)
+    return dec, ad.arctanh_clamped(s, ARCTANH_MARGIN)
 
 
 def prepare_inputs(seqs: list[FeatureSequence], dtype) -> np.ndarray:
@@ -715,30 +666,62 @@ def forward_batch_train(seqs: list[FeatureSequence], model: Autoencoder,
     if np.any(lengths[:-1] < lengths[1:]):
         raise ValueError("batch items must be sorted by decreasing length")
     x = inputs if inputs is not None else prepare_inputs(seqs, model.dtype)
+    stats = "train" if update_stats else "batch"
 
     inp = Layout(lengths)
-    e1, e2, e3, e4 = model.encoder.cells
-    s = bnlstm_layer(e1, x, inp, update_stats)
-    s = bnlstm_layer(e2, s, inp, update_stats)
-    lay3, rows = inp.stride()
-    s = bnlstm_layer(e3, ad.gather_rows(s, rows), lay3, update_stats)
-    enc, rows = lay3.stride()
-    hid, gates = bnlstm_layer(e4, ad.gather_rows(s, rows), enc,
-                              update_stats, want_gates=True)
+    enc, hid, gates = _encoder(model, x, inp, stats)
     prebin = ad.arctanh_clamped(hid, ARCTANH_MARGIN)
     codes = (sgn_ste if binarize == "hard" else sgn_surrogate)(prebin)
-
-    d1, d2, d3, d4 = model.decoder.cells
-    s = bnlstm_layer(d1, codes, enc, update_stats)
-    lay, a, b = enc.upsample()
-    s = bnlstm_layer(d2, _upsample(s, a, b), lay, update_stats)
-    dec, a, b = lay.upsample()
-    s = bnlstm_layer(d3, _upsample(s, a, b), dec, update_stats)
-    s = bnlstm_layer(d4, s, dec, update_stats)
-    recon = ad.arctanh_clamped(s, ARCTANH_MARGIN)
+    dec, recon = _decoder(model, codes, enc, stats)
 
     model.max_input_len = max(model.max_input_len, int(lengths[0]))
     return BatchForward(model, inp, enc, dec, codes, gates, prebin, recon)
+
+
+# -- inference ---------------------------------------------------------------
+
+
+def _encoder_hidden_infer(model: Autoencoder, X: np.ndarray):
+    """Code-layer hidden states (M_e, L) and (f, i, o) gates (M_e, 3 L) of
+    one (M, D) sequence, with running statistics."""
+    _, hid, gates = _encoder(model, X, Layout([len(X)]), "running")
+    return hid, gates
+
+
+def encode(seq: FeatureSequence, model: Autoencoder) -> EncodeResult:
+    """Encode one feature sequence into binary codes.
+
+    The gate record comes from the last encoder layer; d_series[t] is the
+    Hamming distance between codes t+1 and t.
+    """
+    if seq.M < 1:
+        raise EmptySequence(f"{seq.video_id}: empty feature sequence")
+    if not seq.normalized:
+        raise ValueError(f"{seq.video_id}: encode expects normalized features")
+    if seq.D != model.D:
+        raise ShapeMismatch(f"features D={seq.D}, model D={model.D}")
+    hid, gates = _encoder_hidden_infer(model, seq.features.astype(model.dtype))
+    codes = sgn_ste(ad.arctanh_clamped(hid, ARCTANH_MARGIN))
+    return _encode_result(codes, gates, model.L)
+
+
+def decode(codes: EncodeResult, model: Autoencoder,
+           target_len: int) -> np.ndarray:
+    """Reconstruct (target_len, D) features from binary codes."""
+    if codes.M_e < 1:
+        raise EmptyCodes("no codes to decode")
+    x = codes.codes.astype(model.dtype) * 2.0 - 1.0
+    _, out = _decoder(model, x, Layout([codes.M_e]), "running")
+    if len(out) >= target_len:
+        return out[:target_len]
+    pad = np.repeat(out[-1:], target_len - len(out), axis=0)
+    return np.concatenate([out, pad], axis=0)
+
+
+def forward(seq: FeatureSequence, model: Autoencoder):
+    """Encode then decode back to the input length."""
+    enc = encode(seq, model)
+    return decode(enc, model, seq.M), enc
 
 
 # -- checkpoints -------------------------------------------------------------
@@ -769,7 +752,7 @@ def save_model(model: Autoencoder, path) -> None:
 
 class _Reader:
     def __init__(self, data, path):
-        self.data = data
+        self.data = memoryview(data)
         self.pos = 0
         self.path = path
 
@@ -783,8 +766,11 @@ class _Reader:
     def unpack(self, st: struct.Struct):
         return st.unpack(self.take(st.size))
 
-    def floats(self, n, dtype):
-        return np.frombuffer(self.take(4 * n), dtype="<f4").astype(dtype)
+    def floats(self, shape, dtype):
+        """A float32 tensor of ``shape``; the bytes left are checked to
+        cover it before anything is allocated."""
+        raw = self.take(4 * math.prod(shape))
+        return np.frombuffer(raw, dtype="<f4").astype(dtype).reshape(shape)
 
 
 _DIMS = struct.Struct("<II")
@@ -795,7 +781,9 @@ def load_model(path, dtype=np.float64) -> Autoencoder:
     """Rebuild an autoencoder from an MCBN checkpoint.
 
     save(load(f)) reproduces f byte for byte: values are stored as
-    float32 and upcasting is exact.
+    float32 and upcasting is exact. A file whose layer widths do not
+    chain D -> ... -> L -> ... -> D, or with bytes after the trailer,
+    raises MalformedFile.
     """
     r = _Reader(Path(path).read_bytes(), path)
     magic, version, n_layers = r.unpack(_MCBN_HEADER)
@@ -803,45 +791,40 @@ def load_model(path, dtype=np.float64) -> Autoencoder:
         raise BadMagic(f"{path}: expected MCBN, found {magic!r}")
     if version != 1:
         raise UnsupportedVersion(f"{path}: MCBN version {version}")
-    if n_layers % 2 != 0:
-        raise TruncatedFile(f"{path}: odd layer count {n_layers}")
+    if n_layers != 8:
+        raise MalformedFile(f"{path}: {n_layers} layers, expected 8")
 
-    rng = np.random.default_rng(0)
-    cells = []
+    dims, layers = [], []
     for i in range(n_layers):
         d_x, d_h = r.unpack(_DIMS)
-        cell = BNLSTMCell(d_x, d_h, rng, dtype=dtype,
-                          tag=f"layer{i + 1}")
-        for p in cell.parameters():
-            p.value = r.floats(p.value.size, dtype).reshape(p.value.shape)
-            p.grad = np.zeros_like(p.value)
-            p.m = np.zeros_like(p.value)
-            p.v = np.zeros_like(p.value)
-        for site in cell.sites():
+        if dims and d_x != dims[-1][1]:
+            raise MalformedFile(f"{path}: layer {i + 1} takes {d_x} inputs, "
+                                f"layer {i} emits {dims[-1][1]}")
+        dims.append((d_x, d_h))
+        shapes = [(d_h, 4 * d_h), (d_x, 4 * d_h), *[(4 * d_h,)] * 3,
+                  *[(d_h,)] * 4]
+        values = [r.floats(shape, dtype) for shape in shapes]
+        sites = []
+        for dim in (4 * d_h, 4 * d_h, d_h):
             (n_t,) = r.unpack(_COUNT)
-            site.dtype = np.dtype(dtype)
-            site.means = []
-            site.vars = []
-            for _ in range(n_t):
-                site.means.append(r.floats(site.dim, dtype))
-                site.vars.append(r.floats(site.dim, dtype))
-        cells.append(cell)
+            sites.append(r.floats((n_t, 2, dim), dtype))
+        layers.append((values, sites))
     D, L, momentum, eps, max_len = r.unpack(_MCBN_META)
+    if r.pos != len(r.data):
+        raise MalformedFile(f"{path}: {len(r.data) - r.pos} bytes after "
+                            f"the trailer")
+    if (dims[0][0], dims[3][1], dims[7][1]) != (D, L, D):
+        raise MalformedFile(f"{path}: layer widths {dims} do not run "
+                            f"D={D} -> L={L} -> D")
 
-    half = n_layers // 2
-    enc = EncoderStack.__new__(EncoderStack)
-    enc.cells = cells[:half]
-    enc.L = L
-    dec = DecoderStack.__new__(DecoderStack)
-    dec.cells = cells[half:]
-    for i, cell in enumerate(cells):
-        cell_tag = f"enc{i + 1}" if i < half else f"dec{i - half + 1}"
-        for name in cell.FIELD_ORDER:
-            getattr(cell, name).name = f"{cell_tag}.{name}"
-        for site in cell.sites():
-            site.momentum = float(np.float32(momentum))
-            site.eps = float(np.float32(eps))
-    model = Autoencoder(D, L, enc, dec, float(np.float32(momentum)),
-                        float(np.float32(eps)), dtype)
+    momentum, eps = float(np.float32(momentum)), float(np.float32(eps))
+    cells = []
+    for i, (values, sites) in enumerate(layers):
+        tag = f"enc{i + 1}" if i < 4 else f"dec{i - 3}"
+        cell = BNLSTMCell(values, momentum, eps, tag)
+        for site, stats in zip(cell.sites(), sites):
+            site.means, site.vars = list(stats[:, 0]), list(stats[:, 1])
+        cells.append(cell)
+    model = Autoencoder(D, L, cells[:4], cells[4:], momentum, eps, dtype)
     model.max_input_len = max_len
     return model

@@ -177,9 +177,10 @@ def bn2_add(a, b, gamma_a, gamma_b, bias,
     """BN(a; gamma_a) + BN(b; gamma_b) + bias as one fused node.
 
     Both shift vectors are fixed at zero; the single bias covers them.
-    The whole expression is one tape node instead of five. Training runs
-    the fused layer of ``model``; this per-step form serves inference
-    and the step-by-step reference that layer is tested against.
+    The whole expression is one tape node instead of five. Training and
+    inference both run the fused layer of ``model``; this per-step form
+    is only the step-by-step reference that layer is tested against, in
+    both modes.
     """
     av, bv = val(a), val(b)
     ga, gb, bias_v = val(gamma_a), val(gamma_b), val(bias)

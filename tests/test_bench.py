@@ -216,3 +216,19 @@ class TestRunEval:
         assert report.query_count == 0
         for mode in report.modes:
             assert all(np.isnan(a) for a in report.topk[mode])
+
+    def test_restricted_report_is_the_report_of_its_copies(self, eval_setup):
+        # each copy is encoded on its own, so the slide = 2 (mod 4) report
+        # must equal a whole evaluation of those copies alone
+        videos, ids, model, stats = eval_setup
+        copies = [spec for seq, vid in zip(videos, ids)
+                  for spec in make_copies(int(seq.duration_seconds),
+                                          source_id=vid)]
+        full = run_eval(videos, ids, model, stats, copies=copies)
+        only = run_eval(videos, ids, model, stats,
+                        copies=[s for s in copies if s.slide % 4 == 2])
+        assert 0 < only.query_count == full.query_count_restricted \
+            < full.query_count
+        np.testing.assert_equal(only.topk, full.topk_restricted)
+        np.testing.assert_equal(only.buckets, full.buckets_restricted)
+        np.testing.assert_equal(only.topk_restricted, only.topk)

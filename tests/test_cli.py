@@ -1,7 +1,10 @@
 import struct
 
+import numpy as np
 import pytest
 
+from evhash import ingest
+from evhash import model as M
 from evhash.cli import main
 from evhash.index import db_load
 
@@ -142,6 +145,35 @@ class TestPipeline:
         root, data, stats, model, db, feats, hashes = pipeline
         assert main(["db-add", "--db", str(db), "--hash", hashes[0],
                      "--out", str(root / "db2.vhdb")]) == 2
+
+    @pytest.mark.parametrize("case", ["two-layer model", "nan features",
+                                      "nan mean", "zero std"])
+    def test_hash_rejects_bad_inputs(self, pipeline, tmp_path, capsys, case):
+        root, data, stats, model, db, feats, hashes = pipeline
+        model_in, feat_in, stats_in = model, feats[0], stats
+        if case == "two-layer model":
+            net = M.load_model(model)
+            model_in = tmp_path / "m.mcbn"
+            M.save_model(M.Autoencoder(net.D, net.L, net.encoder[:1],
+                                       net.decoder[-1:], net.momentum,
+                                       net.eps, net.dtype), model_in)
+        elif case == "nan features":
+            seq = ingest.load_feat(feats[0])
+            seq.features[3, 5] = np.nan
+            feat_in = tmp_path / "f.feat"
+            ingest.write_feat(seq, feat_in)
+        else:
+            ns = ingest.load_norm_stats(stats)
+            if case == "nan mean":
+                ns.mean[7] = np.nan
+            else:
+                ns.std[7] = 0.0
+            stats_in = tmp_path / "s.nrm1"
+            ingest.write_norm_stats(ns, stats_in)
+        code, _ = run(["hash", "--model", str(model_in), "--stats",
+                       str(stats_in), "--feat", str(feat_in), "--out",
+                       str(tmp_path / "q.vh"), "--th", "2"], capsys)
+        assert code == 2
 
     def test_dseries(self, pipeline, capsys):
         root, data, stats, model, db, feats, hashes = pipeline

@@ -8,6 +8,7 @@ from evhash.errors import (
     DimensionMismatch,
     DoubleNormalize,
     EmptyTrainSet,
+    MalformedFile,
     TruncatedFile,
     UnsupportedVersion,
     WrongDimensions,
@@ -299,3 +300,28 @@ class TestFeatFile:
         back = ingest.load_norm_stats(path)
         np.testing.assert_array_equal(back.mean, stats.mean)
         np.testing.assert_array_equal(back.std, stats.std)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, tmp_path, value):
+        feats = np.zeros((3, 4))
+        feats[1, 2] = value
+        path = tmp_path / "clip.feat"
+        ingest.write_feat(FeatureSequence("clip", feats), path)
+        with pytest.raises(MalformedFile):
+            ingest.load_feat(path)
+
+    @pytest.mark.parametrize("mean, std", [
+        ([np.nan, 0.0], [1.0, 1.0]),
+        ([0.0, np.inf], [1.0, 1.0]),
+        ([0.0, 0.0], [1.0, np.nan]),
+        ([0.0, 0.0], [np.inf, 1.0]),
+        ([0.0, 0.0], [1.0, 0.0]),
+        ([0.0, 0.0], [-1.0, 1.0]),
+    ], ids=["nan mean", "inf mean", "nan std", "inf std", "zero std",
+            "negative std"])
+    def test_bad_norm_stats_rejected(self, tmp_path, mean, std):
+        path = tmp_path / "s.nrm1"
+        ingest.write_norm_stats(
+            ingest.NormStats(mean=np.array(mean), std=np.array(std)), path)
+        with pytest.raises(MalformedFile):
+            ingest.load_norm_stats(path)

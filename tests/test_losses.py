@@ -224,7 +224,7 @@ class TestTrain:
         total, _ = batch_loss(model, seqs, th=1, update_stats=False)
         total.backward()
         enc_grads = sum(float(np.abs(p.grad).sum())
-                        for c in model.encoder.cells for p in c.parameters())
+                        for c in model.encoder for p in c.parameters())
         assert enc_grads > 0.0
 
 
@@ -253,7 +253,7 @@ class TestWorkspaceReuse:
         return sets, models, cfgs
 
     def test_interleaved_training_matches_solo(self):
-        from evhash.model import forward
+        from evhash.model import forward_batch_train
         sets, makers, cfgs = self.setups()
         rounds = 3
         solo = []
@@ -268,7 +268,8 @@ class TestWorkspaceReuse:
             for k in (0, 1):
                 mixed[k] += train(sets[k], cfgs[k], models[k])[1]
                 # a training-mode forward left without a backward pass
-                forward(sets[1 - k][0], models[1 - k], mode="train")
+                forward_batch_train([sets[1 - k][0]], models[1 - k],
+                                    update_stats=False)
         assert mixed == solo
 
     def test_two_live_tapes_do_not_share_arrays(self):

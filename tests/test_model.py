@@ -1,9 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 
 from evhash import autodiff as ad
 from evhash import model as M
-from evhash.errors import EmptySequence, ShapeMismatch
+from evhash.errors import (EmptySequence, MalformedFile, ShapeMismatch,
+                           TruncatedFile)
 from evhash.ingest import FeatureSequence
 from evhash.model import (
     BNLSTMCell,
@@ -13,13 +16,14 @@ from evhash.model import (
     encode,
     encoder_len,
     forward,
+    init_cell,
     load_model,
     save_model,
 )
 
 
 def zero_cell(d_x, d_h, eps=0.0):
-    cell = BNLSTMCell(d_x, d_h, np.random.default_rng(0), eps=eps)
+    cell = init_cell(d_x, d_h, np.random.default_rng(0), eps=eps)
     for p in cell.parameters():
         p.value[...] = 0.0
     cell.gamma_h.value[...] = 1.0
@@ -63,8 +67,16 @@ def stride_oracle(X):
     return X[idx]
 
 
+def upsample_oracle(X):
+    """Each step, then the mean of it and the next (the last repeats)."""
+    out = []
+    for t, x in enumerate(X):
+        out += [x, (x + X[t + 1]) / 2 if t + 1 < len(X) else x]
+    return np.array(out)
+
+
 def plain_encoder_oracle(model, X):
-    e1, e2, e3, e4 = model.encoder.cells
+    e1, e2, e3, e4 = model.encoder
     X = plain_lstm_layer(e1, X)
     X = plain_lstm_layer(e2, X)
     X = plain_lstm_layer(e3, stride_oracle(X))
@@ -87,7 +99,7 @@ class TestCellStep:
             np.testing.assert_allclose(gate, 0.5)
 
     def test_weight_shapes(self):
-        cell = BNLSTMCell(8, 6, np.random.default_rng(0))
+        cell = init_cell(8, 6, np.random.default_rng(0))
         assert cell.W_x.value.shape == (8, 24)
         assert cell.W_h.value.shape == (6, 24)
 
@@ -95,7 +107,7 @@ class TestCellStep:
         rng = np.random.default_rng(1)
         model = build_model(D=5, L=3, encoder_dims=(4, 4, 3), seed=2)
         freeze_to_plain_lstm(model)
-        cell = model.encoder.cells[0]
+        cell = model.encoder[0]
         X = rng.normal(size=(6, 5))
         want = plain_lstm_layer(cell, X)
         h = cell.h0.value[None, :]
@@ -105,7 +117,7 @@ class TestCellStep:
             np.testing.assert_allclose(h[0], want[t], atol=1e-6)
 
     def test_shape_mismatch(self):
-        cell = BNLSTMCell(3, 2, np.random.default_rng(0))
+        cell = init_cell(3, 2, np.random.default_rng(0))
         with pytest.raises(ShapeMismatch):
             bnlstm_cell_step(np.ones((1, 4)), np.zeros((1, 2)),
                              np.zeros((1, 2)), cell, 1, "infer")
@@ -169,10 +181,10 @@ class TestEncoderStack:
 class TestDecoderStack:
     def test_decoder_dims_mirror(self):
         model = build_model(D=1024, L=64, encoder_dims=(256, 256, 64), seed=0)
-        assert [c.d_h for c in model.decoder.cells] == [64, 256, 256, 1024]
-        assert [c.d_x for c in model.decoder.cells] == [64, 64, 256, 256]
+        assert [c.d_h for c in model.decoder] == [64, 256, 256, 1024]
+        assert [c.d_x for c in model.decoder] == [64, 64, 256, 256]
         tiny = build_model(D=8, L=4, encoder_dims=(6, 6, 4), seed=0)
-        assert [c.d_h for c in tiny.decoder.cells] == [4, 6, 6, 8]
+        assert [c.d_h for c in tiny.decoder] == [4, 6, 6, 8]
 
     def test_length_contract(self):
         rng = np.random.default_rng(9)
@@ -185,7 +197,7 @@ class TestDecoderStack:
 
     def test_zero_weight_reconstruction_is_zero(self):
         model = build_model(D=5, L=3, encoder_dims=(4, 4, 3), seed=11)
-        for cell in model.decoder.cells:
+        for cell in model.decoder:
             cell.W_h.value[...] = 0.0
             cell.W_x.value[...] = 0.0
             cell.b.value[...] = 0.0
@@ -196,11 +208,6 @@ class TestDecoderStack:
         enc = encode(seq, model)
         rec = decode(enc, model, 9)
         np.testing.assert_allclose(rec, 0.0, atol=1e-12)
-
-    def test_upsample_rule_dense(self):
-        a, b = np.array([1.0, 5.0]), np.array([3.0, -1.0])
-        up = M._upsample_dense(np.stack([a, b]))
-        np.testing.assert_allclose(up, [a, (a + b) / 2, b, b])
 
     def test_upsample_rule_ragged(self):
         x = ad.Tensor(np.array([[1.0, 5.0], [3.0, -1.0]]))
@@ -233,6 +240,12 @@ class TestForward:
         h_solo = solo.reconstructions()[0][3]
         h_pair = pair.reconstructions()[0][3]
         assert not np.allclose(h_solo, h_pair)
+        enc = pair.encode_results()[0]
+        rows = pair.enc.item_rows(0)
+        np.testing.assert_array_equal(enc.codes,
+                                      ad.val(pair.prebin)[rows] >= 0)
+        np.testing.assert_array_equal(np.concatenate(enc.gates, axis=1),
+                                      ad.val(pair.gates)[rows])
 
 
 class TestCheckpoint:
@@ -252,6 +265,49 @@ class TestCheckpoint:
         got = encode(rand_seq(rng, 11, 6), back)
         assert got.codes.shape == (3, 4)
 
+    @pytest.fixture
+    def saved(self, tmp_path):
+        model = build_model(D=6, L=4, encoder_dims=(5, 4, 3), seed=18)
+        path = tmp_path / "m.mcbn"
+        save_model(model, path)
+        return model, path
+
+    def test_trailing_bytes(self, saved):
+        _, path = saved
+        path.write_bytes(path.read_bytes() + bytes(7))
+        with pytest.raises(MalformedFile):
+            load_model(path)
+
+    def test_two_layers(self, saved):
+        model, path = saved
+        enc1, dec4 = model.encoder[0], model.decoder[-1]  # 6 -> 5 -> 6
+        save_model(M.Autoencoder(6, 4, [enc1], [dec4], 0.1, 1e-5,
+                                 np.float64), path)
+        with pytest.raises(MalformedFile):
+            load_model(path)
+
+    def test_huge_dims_fail_before_allocating(self, tmp_path):
+        path = tmp_path / "m.mcbn"
+        path.write_bytes(struct.pack("<4sBBII", b"MCBN", 1, 8, 2 ** 20,
+                                     2 ** 20) + bytes(64))
+        with pytest.raises(TruncatedFile):
+            load_model(path)
+
+    def test_dims_must_chain_from_d_to_l_to_d(self, saved):
+        model, path = saved
+        good = path.read_bytes()
+        for offset in (-20, -16):  # the trailer's D, then its L
+            bad = bytearray(good)
+            bad[offset:offset + 4] = struct.pack("<I", 7)
+            path.write_bytes(bytes(bad))
+            with pytest.raises(MalformedFile):
+                load_model(path)
+        e1, e2, e3, e4 = model.encoder  # layer 2 takes 4 inputs, not 5
+        save_model(M.Autoencoder(6, 4, [e1, e3, e2, e4], model.decoder,
+                                 0.1, 1e-5, np.float64), path)
+        with pytest.raises(MalformedFile):
+            load_model(path)
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "x.mcbn"
         p.write_bytes(b"NOPE" + bytes(10))
@@ -261,7 +317,7 @@ class TestCheckpoint:
 
 def _rand_cell(rng, d_x, d_h):
     """A float64 cell at a well-conditioned random point."""
-    cell = BNLSTMCell(d_x, d_h, rng, eps=1e-2)
+    cell = init_cell(d_x, d_h, rng, eps=1e-2)
     for p in cell.parameters():
         p.value[...] = rng.normal(scale=0.5, size=p.value.shape)
     for g in (cell.gamma_h, cell.gamma_x, cell.gamma_c):
@@ -269,25 +325,29 @@ def _rand_cell(rng, d_x, d_h):
     return cell
 
 
-def _per_step_layer(cell, X, lay):
-    """The layer as bnlstm_cell_step applied step by step on the tape:
-    per step (h_t, (f, i, o)) over that step's packed rows."""
+def _per_step_layer(cell, X, lay, mode="train"):
+    """The layer as bnlstm_cell_step applied step by step, on the tape in
+    "train" mode and on plain arrays in "infer" mode: per step
+    (h_t, (f, i, o)) over that step's packed rows."""
     b1 = int(lay.counts[0])
-    h = ad.add(np.zeros((b1, cell.d_h)), cell.h0)
-    c = ad.add(np.zeros((b1, cell.d_h)), cell.c0)
+    h0, c0 = (cell.h0, cell.c0) if mode == "train" else (cell.h0.value,
+                                                         cell.c0.value)
+    h = ad.add(np.zeros((b1, cell.d_h)), h0)
+    c = ad.add(np.zeros((b1, cell.d_h)), c0)
     out = []
     for t, b in enumerate(lay.counts):
         b = int(b)
         if ad.val(h).shape[0] > b:
             h, c = ad.slice_rows(h, 0, b), ad.slice_rows(c, 0, b)
         x_t = ad.slice_rows(X, int(lay.offsets[t]), int(lay.offsets[t]) + b)
-        h, c, gates = bnlstm_cell_step(x_t, h, c, cell, t + 1, "train")
+        h, c, gates = bnlstm_cell_step(x_t, h, c, cell, t + 1, mode)
         out.append((h, gates))
     return out
 
 
 class TestFusedLayer:
-    """The fused layer against the per-step tape, ragged and float64."""
+    """The fused layer against bnlstm_cell_step run step by step, ragged
+    and float64."""
 
     LENGTHS = (13, 12, 12, 9, 7)
 
@@ -334,12 +394,12 @@ class TestFusedLayer:
         for i in range(len(self.LENGTHS)):
             item = self.x[self.lay.item_rows(i)]
             np.testing.assert_array_equal(got_s[strided.item_rows(i)],
-                                          M._stride_dense(item))
+                                          stride_oracle(item))
             np.testing.assert_array_equal(got_u[up.item_rows(i)],
-                                          M._upsample_dense(item))
+                                          upsample_oracle(item))
 
     def test_values_and_running_stats_match_per_step(self):
-        twin = BNLSTMCell(5, 3, np.random.default_rng(0), eps=1e-2)
+        twin = init_cell(5, 3, np.random.default_rng(0), eps=1e-2)
         for p, q in zip(twin.parameters(), self.cell.parameters()):
             p.value[...] = q.value
         h, g = M.bnlstm_layer(self.cell, self.x, self.lay, want_gates=True)
@@ -353,6 +413,28 @@ class TestFusedLayer:
             assert fused.max_train_timestep == step.max_train_timestep == 13
             for a, b in zip(fused.means + fused.vars, step.means + step.vars):
                 np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_running_stats_match_per_step_infer(self):
+        # running statistics away from (0, 1) for steps 1..8 only, so
+        # steps 9..13 reuse step 8's
+        rng = np.random.default_rng(22)
+        for site in self.cell.sites():
+            site.means = [rng.normal(size=site.dim) for _ in range(8)]
+            site.vars = [rng.uniform(0.3, 3.0, size=site.dim)
+                         for _ in range(8)]
+        h, g = M.bnlstm_layer(self.cell, self.x, self.lay, stats="running",
+                              want_gates=True)
+        assert type(h) is np.ndarray and type(g) is np.ndarray
+        ref = _per_step_layer(self.cell, self.x, self.lay, "infer")
+        want_h = np.concatenate([h_t for h_t, _ in ref])
+        want_g = np.concatenate([np.concatenate(gates, axis=1)
+                                 for _, gates in ref])
+        np.testing.assert_allclose(h, want_h, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(g, want_g, rtol=0, atol=1e-12)
+        assert [s.max_train_timestep for s in self.cell.sites()] == [8] * 3
+        assert self.cell.workspace is None
+        with pytest.raises(ValueError):  # the per-step mode name
+            M.bnlstm_layer(self.cell, self.x, self.lay, stats="infer")
 
     def test_gradients_match_per_step_tape(self):
         got, got_x = self.grads(self.fused_loss)
