@@ -1,9 +1,10 @@
 """Frame ingestion and per-frame feature extraction.
 
 Raw videos arrive as FSEQ files (pre-decoded grayscale frames). They are
-brought to 25 fps and 64x64 grayscale, transformed to low-frequency DCT
-coefficients, thinned to every second frame, and normalized with
-train-set statistics.
+brought to 25 fps and thinned to every second frame; only the kept frames
+are then brought to 64x64 grayscale and transformed to low-frequency DCT
+coefficients, a block of frames per batched call, and the features are
+normalized with train-set statistics.
 
 Binary formats (all little-endian):
 
@@ -41,6 +42,9 @@ from .errors import (
 
 FEATURE_DIM = 1024
 _DCT_KEEP = 32
+# float64 values per block in extract_features (about 8 MB of scratch), or
+# one frame where a frame holds more
+_BLOCK_PIXELS = 2 ** 20
 _LUMA = np.array([0.299, 0.587, 0.114])
 
 
@@ -101,6 +105,17 @@ def _round_half_up(num: int, den: int) -> int:
     return (2 * num + den) // (2 * den)
 
 
+def _check_size(data: bytes, need: int, path) -> None:
+    """Reject a file whose length is not the ``need`` bytes its header
+    declares: TruncatedFile if shorter, MalformedFile if longer."""
+    if len(data) < need:
+        raise TruncatedFile(f"{path}: header declares {need} bytes, "
+                            f"file has {len(data)}")
+    if len(data) > need:
+        raise MalformedFile(f"{path}: {len(data) - need} bytes after the "
+                            f"payload")
+
+
 # -- FSEQ ----------------------------------------------------------------
 
 _FSEQ_HEADER = struct.Struct("<4sBHHIII")
@@ -124,10 +139,7 @@ def load_fseq(path) -> FrameSequence:
         raise BadMagic(f"{path}: expected FSEQ, found {magic!r}")
     if version != 1:
         raise UnsupportedVersion(f"{path}: FSEQ version {version}")
-    need = _FSEQ_HEADER.size + count * width * height
-    if len(data) < need:
-        raise TruncatedFile(
-            f"{path}: header declares {count} frames, payload is short")
+    _check_size(data, _FSEQ_HEADER.size + count * width * height, path)
     frames = np.frombuffer(
         data, dtype=np.uint8, count=count * width * height,
         offset=_FSEQ_HEADER.size).reshape(count, height, width).copy()
@@ -156,9 +168,7 @@ def load_feat(path, video_id: str | None = None) -> FeatureSequence:
         raise BadMagic(f"{path}: expected FEAT, found {magic!r}")
     if version != 1:
         raise UnsupportedVersion(f"{path}: FEAT version {version}")
-    need = _FEAT_HEADER.size + 4 * d * m
-    if len(data) < need:
-        raise TruncatedFile(f"{path}: feature payload is short")
+    _check_size(data, _FEAT_HEADER.size + 4 * d * m, path)
     feats = np.frombuffer(data, dtype="<f4", count=d * m,
                           offset=_FEAT_HEADER.size)
     feats = feats.reshape(m, d).astype(np.float64)
@@ -190,8 +200,7 @@ def load_norm_stats(path) -> NormStats:
         raise BadMagic(f"{path}: expected NRM1, found {magic!r}")
     if version != 1:
         raise UnsupportedVersion(f"{path}: NRM1 version {version}")
-    if len(data) < _NRM_HEADER.size + 8 * d:
-        raise TruncatedFile(f"{path}: stats payload is short")
+    _check_size(data, _NRM_HEADER.size + 8 * d, path)
     mean = np.frombuffer(data, dtype="<f4", count=d,
                          offset=_NRM_HEADER.size).astype(np.float64)
     std = np.frombuffer(data, dtype="<f4", count=d,
@@ -206,6 +215,20 @@ def load_norm_stats(path) -> NormStats:
 # -- preprocessing -------------------------------------------------------
 
 
+def _resample_index(n_in: int, fps: Fraction) -> np.ndarray:
+    """Input frame index of each frame of ``resample_to_25fps``."""
+    if n_in == 0:
+        raise EmptySequence("cannot resample an empty sequence")
+    num, den = fps.numerator, fps.denominator
+    n_out = max(1, _round_half_up(n_in * 25 * den, num))
+    # _round_half_up(n * num, 25 * den) for every n, in Python integers
+    # where int64 could overflow
+    fits = 2 * n_out * num + 25 * den < 2 ** 63
+    n = np.arange(n_out, dtype=np.int64 if fits else object)
+    idx = (2 * n * num + 25 * den) // (50 * den)
+    return np.minimum(idx, n_in - 1).astype(np.intp)
+
+
 def resample_to_25fps(seq: FrameSequence) -> FrameSequence:
     """Nearest-frame resampling to exactly 25 fps.
 
@@ -213,17 +236,8 @@ def resample_to_25fps(seq: FrameSequence) -> FrameSequence:
     last index; rounding is half away from zero, computed exactly on the
     rational frame rate. Idempotent on 25 fps input.
     """
-    if len(seq.frames) == 0:
-        raise EmptySequence("cannot resample an empty sequence")
-    num, den = seq.fps.numerator, seq.fps.denominator
-    n_in = len(seq.frames)
-    n_out = max(1, _round_half_up(n_in * 25 * den, num))
-    idx = np.array([
-        min(_round_half_up(n * num, 25 * den), n_in - 1)
-        for n in range(n_out)
-    ])
-    return FrameSequence(seq.width, seq.height, Fraction(25),
-                         seq.frames[idx].copy())
+    idx = _resample_index(len(seq.frames), seq.fps)
+    return FrameSequence(seq.width, seq.height, Fraction(25), seq.frames[idx])
 
 
 def _area_weights(n_src: int, n_dst: int) -> np.ndarray:
@@ -240,6 +254,31 @@ def _area_weights(n_src: int, n_dst: int) -> np.ndarray:
     return w
 
 
+def _gray64(frames: np.ndarray) -> np.ndarray:
+    """(n, 64, 64) float64 8-bit gray levels of an (n, h, w) frame stack.
+
+    Area averaging, then rounding half up and clipping to [0, 255]. Both
+    are the identity on 64x64 uint8 frames, which are only converted.
+    """
+    h, w = frames.shape[1:]
+    if h < 1 or w < 1:
+        raise EmptyFrame("frame has no pixels")
+    x = frames.astype(np.float64)
+    if (h, w) != (64, 64):
+        x = _area_weights(h, 64) @ x @ _area_weights(w, 64).T
+    elif frames.dtype == np.uint8:
+        return x
+    return np.clip(np.floor(x + 0.5), 0, 255)
+
+
+def _dct_rows(x: np.ndarray) -> np.ndarray:
+    """(n, FEATURE_DIM) DCT features of an (n, 64, 64) float64 stack."""
+    coeffs = _fft.dctn(x / 255.0, type=2, norm="ortho", axes=(1, 2))
+    rows = coeffs[:, :_DCT_KEEP, :_DCT_KEEP].reshape(len(x), FEATURE_DIM)
+    rows[:, 0] = 0.0
+    return rows
+
+
 def downscale_gray64(frame: np.ndarray) -> np.ndarray:
     """Reduce an arbitrary frame to 64x64 grayscale by area averaging.
 
@@ -250,13 +289,7 @@ def downscale_gray64(frame: np.ndarray) -> np.ndarray:
         frame = np.floor(frame.astype(np.float64) @ _LUMA + 0.5)
     elif frame.ndim != 2:
         raise WrongDimensions(f"expected HxW or HxWx3 frame, got {frame.shape}")
-    h, w = frame.shape
-    if h < 1 or w < 1:
-        raise EmptyFrame("frame has no pixels")
-    frame = frame.astype(np.float64)
-    if (h, w) != (64, 64):
-        frame = _area_weights(h, 64) @ frame @ _area_weights(w, 64).T
-    return np.clip(np.floor(frame + 0.5), 0, 255).astype(np.uint8)
+    return _gray64(frame[None])[0].astype(np.uint8)
 
 
 def dct_features(frame: np.ndarray) -> np.ndarray:
@@ -269,10 +302,7 @@ def dct_features(frame: np.ndarray) -> np.ndarray:
     """
     if frame.ndim != 2 or frame.shape != (64, 64):
         raise WrongDimensions(f"expected a 64x64 frame, got {frame.shape}")
-    coeffs = _fft.dctn(frame.astype(np.float64) / 255.0, type=2, norm="ortho")
-    out = coeffs[:_DCT_KEEP, :_DCT_KEEP].reshape(-1).copy()
-    out[0] = 0.0
-    return out
+    return _dct_rows(frame.astype(np.float64)[None])[0]
 
 
 def drop_alternate(features: np.ndarray, video_id: str = "") -> FeatureSequence:
@@ -284,12 +314,22 @@ def drop_alternate(features: np.ndarray, video_id: str = "") -> FeatureSequence:
 
 
 def extract_features(seq: FrameSequence, video_id: str = "") -> FeatureSequence:
-    """Full ingest chain: 25 fps, 64x64 gray, DCT, alternate-frame drop."""
-    seq = resample_to_25fps(seq)
-    rows = np.empty((len(seq.frames), FEATURE_DIM))
-    for i, frame in enumerate(seq.frames):
-        rows[i] = dct_features(downscale_gray64(frame))
-    return drop_alternate(rows, video_id=video_id)
+    """Full ingest chain: 25 fps, alternate-frame drop, 64x64 gray, DCT.
+
+    Only the kept frames (even indices of the 25 fps sequence) are
+    gathered, about ``_BLOCK_PIXELS`` pixels at a time, and each
+    block goes through one batched downscale and one batched DCT. The
+    rows equal those of ``drop_alternate`` over ``dct_features(
+    downscale_gray64(frame))`` of every resampled frame.
+    """
+    keep = _resample_index(len(seq.frames), seq.fps)[::2]
+    # frames smaller than 64x64 grow in the downscale
+    step = max(1, _BLOCK_PIXELS // max(64 * 64, seq.width * seq.height))
+    rows = np.empty((len(keep), FEATURE_DIM))
+    for lo in range(0, len(keep), step):
+        block = seq.frames[keep[lo:lo + step]]
+        rows[lo:lo + step] = _dct_rows(_gray64(block))
+    return FeatureSequence(video_id, rows)
 
 
 def compute_norm_stats(train: list[FeatureSequence]) -> NormStats:

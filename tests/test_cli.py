@@ -1,4 +1,5 @@
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,7 +148,8 @@ class TestPipeline:
                      "--out", str(root / "db2.vhdb")]) == 2
 
     @pytest.mark.parametrize("case", ["two-layer model", "nan features",
-                                      "nan mean", "zero std"])
+                                      "nan mean", "zero std",
+                                      "stats trailing bytes"])
     def test_hash_rejects_bad_inputs(self, pipeline, tmp_path, capsys, case):
         root, data, stats, model, db, feats, hashes = pipeline
         model_in, feat_in, stats_in = model, feats[0], stats
@@ -162,6 +164,9 @@ class TestPipeline:
             seq.features[3, 5] = np.nan
             feat_in = tmp_path / "f.feat"
             ingest.write_feat(seq, feat_in)
+        elif case == "stats trailing bytes":
+            stats_in = tmp_path / "s.nrm1"
+            stats_in.write_bytes(stats.read_bytes() + bytes(7))
         else:
             ns = ingest.load_norm_stats(stats)
             if case == "nan mean":
@@ -174,6 +179,17 @@ class TestPipeline:
                        str(stats_in), "--feat", str(feat_in), "--out",
                        str(tmp_path / "q.vh"), "--th", "2"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["ingest", "stats"])
+    def test_trailing_bytes_exit_2(self, pipeline, tmp_path, capsys, command):
+        root, data, stats, model, db, feats, hashes = pipeline
+        src = data / "vid0000.fseq" if command == "ingest" else Path(feats[0])
+        bad = tmp_path / src.name
+        bad.write_bytes(src.read_bytes() + bytes(7))
+        out = str(tmp_path / "out")
+        argv = (["ingest", "--in", str(bad), "--out", out]
+                if command == "ingest" else ["stats", "--out", out, str(bad)])
+        assert run(argv, capsys)[0] == 2
 
     def test_dseries(self, pipeline, capsys):
         root, data, stats, model, db, feats, hashes = pipeline

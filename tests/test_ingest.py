@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+import scipy.fft
 from fractions import Fraction
 
 from evhash import ingest
+from evhash.bench import synth_video
 from evhash.errors import (
     BadMagic,
     DimensionMismatch,
     DoubleNormalize,
+    EmptyFrame,
     EmptyTrainSet,
     MalformedFile,
     TruncatedFile,
@@ -20,6 +23,7 @@ from evhash.ingest import (
     dct_features,
     downscale_gray64,
     drop_alternate,
+    extract_features,
     load_fseq,
     normalize,
     resample_to_25fps,
@@ -75,6 +79,13 @@ class TestFseqFile:
         with pytest.raises(TruncatedFile):
             load_fseq(path)
 
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "x.fseq"
+        write_fseq(make_seq(np.zeros((2, 8, 8))), path)
+        path.write_bytes(path.read_bytes() + bytes(7))
+        with pytest.raises(MalformedFile):
+            load_fseq(path)
+
     def test_bad_version(self, tmp_path):
         path = tmp_path / "x.fseq"
         data = bytearray()
@@ -108,6 +119,17 @@ class TestResample:
         out = resample_to_25fps(make_seq(frames, fps=30))
         assert len(out.frames) == 25
         np.testing.assert_array_equal(out.frames[:, 0, 0], expected)
+
+    def test_huge_rational_rate(self):
+        # n * num overflows int64 here; the index must stay exact
+        fps = Fraction(2 ** 70 + 1, 2 ** 65)
+        frames = np.arange(100, dtype=np.uint8).reshape(100, 1, 1)
+        out = resample_to_25fps(make_seq(frames, fps=fps))
+        num, den = fps.numerator, fps.denominator
+        n_out = (2 * 100 * 25 * den + num) // (2 * num)
+        want = [min((2 * n * num + 25 * den) // (50 * den), 99)
+                for n in range(n_out)]
+        np.testing.assert_array_equal(out.frames[:, 0, 0], want)
 
     def test_idempotent(self):
         rng = np.random.default_rng(3)
@@ -215,6 +237,66 @@ class TestDropAlternate:
         np.testing.assert_array_equal(twice.features[:, 0], [0, 4, 8, 12])
 
 
+def reference_features(seq: FrameSequence) -> np.ndarray:
+    """Per-frame chain that extract_features batches, in its original
+    expressions: 25 fps, every second frame, area weights through uint8
+    when the frame is not 64x64, one 2-D DCT per frame, DC zeroed."""
+    rows = []
+    for frame in resample_to_25fps(seq).frames[::2]:
+        h, w = frame.shape
+        if (h, w) != (64, 64):
+            x = (ingest._area_weights(h, 64) @ frame.astype(np.float64)
+                 @ ingest._area_weights(w, 64).T)
+            frame = np.clip(np.floor(x + 0.5), 0, 255).astype(np.uint8)
+        coeffs = scipy.fft.dctn(frame.astype(np.float64) / 255.0, type=2,
+                                norm="ortho")
+        row = coeffs[:32, :32].reshape(-1).copy()
+        row[0] = 0.0
+        rows.append(row)
+    return np.array(rows)
+
+
+def _random_seq(n, h, w, fps, seed=0):
+    rng = np.random.default_rng(seed)
+    return make_seq(rng.integers(0, 256, size=(n, h, w)), fps=fps)
+
+
+def _frames_past_a_block(h, w, fps):
+    """Input frames at fps whose kept frames fill one block and part of the
+    next."""
+    return (fps * 2 * (ingest._BLOCK_PIXELS // max(h * w, 64 * 64))) // 25 + 7
+
+
+_SEQS = {
+    "synth": lambda: synth_video(21, 6),
+    "crop start 1": lambda: make_seq(synth_video(22, 6).frames[1:90]),
+    "crop start 7": lambda: make_seq(synth_video(22, 6).frames[7:120]),
+    "crop start 51": lambda: make_seq(synth_video(23, 8).frames[51:151]),
+    "30000/1001 fps": lambda: _random_seq(37, 64, 64, Fraction(30000, 1001)),
+    "15 fps 48x80": lambda: _random_seq(40, 48, 80, 15),
+    "50 fps 100x90 past a block": lambda: _random_seq(
+        _frames_past_a_block(100, 90, 50), 100, 90, 50),
+    "one frame": lambda: _random_seq(1, 64, 64, 25),
+    "25 fps past a block": lambda: _random_seq(
+        _frames_past_a_block(64, 64, 25), 64, 64, 25),
+}
+
+
+class TestExtractFeatures:
+    @pytest.mark.parametrize("name", sorted(_SEQS))
+    def test_bit_identical_to_per_frame_chain(self, name):
+        seq = _SEQS[name]()
+        got = extract_features(seq, "v")
+        assert got.video_id == "v" and not got.normalized
+        assert got.features.dtype == np.float64
+        np.testing.assert_array_equal(got.features, reference_features(seq))
+
+    def test_zero_pixel_frames(self):
+        seq = FrameSequence(0, 4, Fraction(25), np.zeros((3, 4, 0), np.uint8))
+        with pytest.raises(EmptyFrame):
+            extract_features(seq)
+
+
 class TestNormalization:
     def test_single_frame_floor(self):
         seq = FeatureSequence("v", np.array([[3.0, -1.0]]))
@@ -300,6 +382,21 @@ class TestFeatFile:
         back = ingest.load_norm_stats(path)
         np.testing.assert_array_equal(back.mean, stats.mean)
         np.testing.assert_array_equal(back.std, stats.std)
+
+    def test_feat_trailing_bytes(self, tmp_path):
+        path = tmp_path / "clip.feat"
+        ingest.write_feat(FeatureSequence("clip", np.zeros((3, 4))), path)
+        path.write_bytes(path.read_bytes() + bytes(7))
+        with pytest.raises(MalformedFile):
+            ingest.load_feat(path)
+
+    def test_norm_stats_trailing_bytes(self, tmp_path):
+        path = tmp_path / "s.nrm1"
+        ingest.write_norm_stats(
+            ingest.NormStats(mean=np.zeros(2), std=np.ones(2)), path)
+        path.write_bytes(path.read_bytes() + bytes(7))
+        with pytest.raises(MalformedFile):
+            ingest.load_norm_stats(path)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_rejected(self, tmp_path, value):
