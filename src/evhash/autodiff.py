@@ -14,7 +14,6 @@ tape holds a few nodes per layer plus the per-item loss terms.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 
 class Tensor:
@@ -189,36 +188,7 @@ def square(a):
     return Tensor(av * av, (a,), bwd)
 
 
-def matmul(a, b):
-    """a @ b for 2-D operands."""
-    ta, tb = isinstance(a, Tensor), isinstance(b, Tensor)
-    if not (ta or tb):
-        return a @ b
-    av, bv = val(a), val(b)
-    out_v = av @ bv
-
-    def bwd(g):
-        if ta:
-            _buf(a)[...] += g @ bv.T
-        if tb:
-            _buf(b)[...] += av.T @ g
-
-    return Tensor(out_v, tuple(x for x in (a, b) if isinstance(x, Tensor)), bwd)
-
-
 # -- nonlinearities -----------------------------------------------------
-
-
-def sigmoid(a):
-    av = val(a)
-    s = expit(av)
-    if not isinstance(a, Tensor):
-        return s
-
-    def bwd(g):
-        _buf(a)[...] += g * s * (1.0 - s)
-
-    return Tensor(s, (a,), bwd)
 
 
 def arctanh_clamped(a, margin=1e-6):

@@ -71,6 +71,11 @@ class NonFiniteLoss(DataError):
     pass
 
 
+class NonFiniteValues(DataError):
+    """Features or hidden states that are NaN or infinite, which would
+    otherwise turn silently into hash bits."""
+
+
 class LengthMismatch(DataError):
     pass
 

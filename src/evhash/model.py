@@ -21,8 +21,12 @@ with the per-timestep batch statistics, which couple the batch items
 then a single tape node with a hand-written BPTT backward, and the
 strides, upsamplings, arctanhs and the sign are one node each, so a
 step's tape stays small whatever the sequence length. Inference
-normalizes with the per-timestep running statistics instead and runs on
-plain arrays without a tape.
+normalizes with the per-timestep running statistics instead, which
+couple no items: every BN site is then a fixed affine map per step, so
+the layer folds them into per-step and per-row constants before its
+recurrence and runs on plain arrays without a tape, one small GEMM and
+a dozen in-place ufuncs per step. Features or code-layer hidden states
+that are not finite stop ``encode`` with NonFiniteValues.
 
 Checkpoint format MCBN (little-endian): magic "MCBN", version u8=1,
 layer count u8 (8), then per layer: d_x u32, d_h u32, the float32 tensors
@@ -41,7 +45,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from . import autodiff as ad
 from .autodiff import Tensor, val
@@ -50,13 +53,14 @@ from .errors import (
     EmptyCodes,
     EmptySequence,
     MalformedFile,
+    NonFiniteValues,
     ShapeMismatch,
     TruncatedFile,
     UnsupportedVersion,
 )
 from .ingest import FeatureSequence
-from .numerics import (BNSiteStats, Parameter, bn2_add, bn_centered_grad,
-                       bn_normalize, bn_transform, sgn_ste, sgn_surrogate)
+from .numerics import (BNSiteStats, Parameter, bn_centered_grad, bn_normalize,
+                       sgn_ste, sgn_surrogate)
 
 ARCTANH_MARGIN = 1e-6
 
@@ -105,85 +109,6 @@ def init_cell(d_x: int, d_h: int, rng: np.random.Generator, momentum=0.1,
               np.full(d_h, 0.1), np.zeros(d_h), np.zeros(d_h), np.zeros(d_h))
     return BNLSTMCell([np.asarray(v, dtype=dtype) for v in values],
                       momentum, eps, tag)
-
-
-# -- single step ----------------------------------------------------------
-
-
-def _cell_state(pre, c_prev, d):
-    """c_t = sigmoid(f) * c_prev + sigmoid(i) * tanh(g), one tape node."""
-    pv, cv = val(pre), val(c_prev)
-    sf = expit(pv[:, :d])
-    si = expit(pv[:, d:2 * d])
-    tg = np.tanh(pv[:, 2 * d:3 * d])
-    out_v = sf * cv + si * tg
-    if not (isinstance(pre, Tensor) or isinstance(c_prev, Tensor)):
-        return out_v
-
-    def bwd(g):
-        if isinstance(pre, Tensor):
-            gp = ad._buf(pre)
-            gp[:, :d] += g * cv * sf * (1.0 - sf)
-            gp[:, d:2 * d] += g * tg * si * (1.0 - si)
-            gp[:, 2 * d:3 * d] += g * si * (1.0 - tg * tg)
-        if isinstance(c_prev, Tensor):
-            ad._buf(c_prev)[...] += g * sf
-
-    parents = tuple(x for x in (pre, c_prev) if isinstance(x, Tensor))
-    return Tensor(out_v, parents, bwd)
-
-
-def _cell_out(pre, bn_c, d):
-    """h_t = sigmoid(o) * tanh(bn_c), one tape node."""
-    pv, bv = val(pre), val(bn_c)
-    so = expit(pv[:, 3 * d:])
-    th = np.tanh(bv)
-    out_v = so * th
-    if not (isinstance(pre, Tensor) or isinstance(bn_c, Tensor)):
-        return out_v
-
-    def bwd(g):
-        if isinstance(pre, Tensor):
-            ad._buf(pre)[:, 3 * d:] += g * th * so * (1.0 - so)
-        if isinstance(bn_c, Tensor):
-            ad._buf(bn_c)[...] += g * so * (1.0 - th * th)
-
-    parents = tuple(x for x in (pre, bn_c) if isinstance(x, Tensor))
-    return Tensor(out_v, parents, bwd)
-
-
-def bnlstm_cell_step(x_t, h_prev, c_prev, cell: BNLSTMCell, t: int,
-                     mode: str, update_stats: bool = True):
-    """Advance one cell by one timestep.
-
-    Returns (h_t, c_t, (f, i, o)) with post-sigmoid gate values. In
-    training mode the inputs may be tape tensors and gradients flow
-    through the batch statistics; in inference mode plain arrays go in
-    and come out. This is the reference :func:`bnlstm_layer` is tested
-    against; the program itself runs that layer.
-    """
-    if val(x_t).shape[-1] != cell.d_x or val(h_prev).shape[-1] != cell.d_h:
-        raise ShapeMismatch(
-            f"cell expects inputs of width {cell.d_x}/{cell.d_h}, got "
-            f"{val(x_t).shape}/{val(h_prev).shape}")
-    if mode == "infer":
-        wh, wx = cell.W_h.value, cell.W_x.value
-        gh, gx, bb = cell.gamma_h.value, cell.gamma_x.value, cell.b.value
-        gc, bc = cell.gamma_c.value, cell.beta_c.value
-    else:
-        wh, wx = cell.W_h, cell.W_x
-        gh, gx, bb = cell.gamma_h, cell.gamma_x, cell.b
-        gc, bc = cell.gamma_c, cell.beta_c
-    pre = bn2_add(ad.matmul(h_prev, wh), ad.matmul(x_t, wx),
-                  gh, gx, bb, cell.site_h, cell.site_x, t, mode, update_stats)
-    c_t = _cell_state(pre, c_prev, cell.d_h)
-    bn_c = bn_transform(c_t, gc, bc, cell.site_c, t, mode, update_stats)
-    h_t = _cell_out(pre, bn_c, cell.d_h)
-    d = cell.d_h
-    gates = (ad.sigmoid(ad.slice_cols(pre, 0, d)),
-             ad.sigmoid(ad.slice_cols(pre, d, 2 * d)),
-             ad.sigmoid(ad.slice_cols(pre, 3 * d, 4 * d)))
-    return h_t, c_t, gates
 
 
 # -- the autoencoder ---------------------------------------------------------
@@ -370,13 +295,66 @@ def _gate_affine(d, dtype):
 
 
 def _running_stats(site: BNSiteStats, steps: int):
-    """(means, 1 / sqrt(var + eps)) of a site at steps 1..steps, one row
-    per step; steps past max_train_timestep reuse the last trained one."""
-    last = max(1, min(steps, site.max_train_timestep))
-    mean, var = (np.array(x) for x in zip(*map(site.stats_for,
-                                               range(1, last + 1))))
-    rows = np.minimum(np.arange(steps), last - 1)
-    return mean[rows], (1.0 / np.sqrt(var + site.eps))[rows]
+    """(means, 1 / sqrt(var + eps)) of a site at steps 1..last, one row
+    per step, last = min(steps, max_train_timestep); later steps reuse
+    the last row. A site never trained gives one row of (0, 1)."""
+    last = min(steps, site.max_train_timestep)
+    if last:
+        mean, var = np.array(site.means[:last]), np.array(site.vars[:last])
+    else:
+        mean = np.zeros((1, site.dim), site.dtype)
+        var = np.ones((1, site.dim), site.dtype)
+    return mean, 1.0 / np.sqrt(var + site.eps)
+
+
+def _bnlstm_running(cell: BNLSTMCell, xv, lay: Layout, want_gates):
+    """:func:`bnlstm_layer` with running statistics, on plain arrays.
+
+    Each BN site is then a fixed affine map per step, folded into
+    constants before the loop: the recurrent BN, gamma_h and the gate
+    scale of :func:`_gate_affine` into a per-step column scale A[t]; the
+    input GEMM, input BN, gamma_x, the bias and the recurrent mean into
+    a per-row constant (the initial ACT); the cell BN with gamma_c and
+    beta_c into a per-step scale and shift. A step is one ``h @ W_h``
+    and a dozen in-place ufuncs, reading h_{t-1} and c_{t-1} from the
+    previous step's rows of H and C.
+    """
+    d, n, dt = cell.d_h, lay.rows, xv.dtype
+    (m_a, inv_a), (m_u, inv_u), (m_c, inv_c) = (
+        _running_stats(site, len(lay.counts)) for site in cell.sites())
+    scale, shift = _gate_affine(d, dt)
+    A = inv_a * (cell.gamma_h.value * scale)
+    c_scale = inv_c * cell.gamma_c.value
+    c_shift = cell.beta_c.value - m_c * c_scale
+    step, _ = lay.steps_items()
+    su, sa = np.minimum(step, len(m_u) - 1), np.minimum(step, len(A) - 1)
+    ACT = np.matmul(xv, cell.W_x.value, out=np.empty((n, 4 * d), dt))
+    ACT -= m_u[su]
+    ACT *= (inv_u * (cell.gamma_x.value * scale))[su]
+    ACT += (cell.b.value * scale - m_a * A)[sa]
+
+    H, C = np.empty((n, d), dt), np.empty((n, d), dt)
+    h, c = cell.h0.value[None], cell.c0.value[None]  # broadcast at step 1
+    W_h, la, lc = cell.W_h.value, len(A) - 1, len(c_scale) - 1
+    for t, (start, B) in enumerate(zip(lay.offsets.tolist(),
+                                       lay.counts.tolist())):
+        r = slice(start, start + B)
+        act, p = ACT[r], h[:B] @ W_h
+        p *= A[min(t, la)]
+        act += p
+        np.tanh(act, out=act)
+        act *= scale
+        act += shift                  # f, i, tanh(g), o
+        c = np.multiply(act[:, :d], c[:B], out=C[r])
+        h = np.multiply(act[:, d:2 * d], act[:, 2 * d:3 * d], out=H[r])
+        c += h
+        np.multiply(c, c_scale[min(t, lc)], out=h)
+        h += c_shift[min(t, lc)]
+        np.tanh(h, out=h)
+        h *= act[:, 3 * d:]
+    if not want_gates:
+        return H
+    return H, np.concatenate((ACT[:, :2 * d], ACT[:, 3 * d:]), axis=1)
 
 
 def bnlstm_layer(cell: BNLSTMCell, X, lay: Layout, stats="train",
@@ -393,15 +371,15 @@ def bnlstm_layer(cell: BNLSTMCell, X, lay: Layout, stats="train",
     - ``"batch"``: the same without the update;
     - ``"running"``: the stored running statistics of each step.
 
-    Values and updates are those of :func:`bnlstm_cell_step` applied step
-    by step (in its "train" or "infer" mode). With batch statistics H and
-    G are tape nodes; the backward pass is hand-written BPTT, which
-    overwrites the cached normalized values with their gradients, so a
-    tape runs backward once. With running statistics they are plain
+    Each step is the BN-LSTM cell of :class:`BNLSTMCell`; the tests hold
+    it to a step-by-step reference built from tape ops. With batch
+    statistics H and G are tape nodes; the backward pass is hand-written
+    BPTT, which overwrites the cached normalized values with their
+    gradients, so a tape runs backward once. The input GEMM is hoisted
+    out of the recurrence into one product; the recurrent one runs
+    weight-first against a contiguous copy of W_h.T. With running
+    statistics :func:`_bnlstm_running` runs instead: H and G are plain
     arrays, and the cell's workspace is left alone.
-
-    The input GEMM is hoisted out of the recurrence into one product; the
-    recurrent one runs weight-first against a contiguous copy of W_h.T.
     """
     if stats not in ("train", "batch", "running"):
         raise ValueError(f"unknown statistics {stats!r}")
@@ -410,11 +388,12 @@ def bnlstm_layer(cell: BNLSTMCell, X, lay: Layout, stats="train",
         raise ShapeMismatch(
             f"layer expects a ({lay.rows}, {cell.d_x}) packed input, got "
             f"{xv.shape}")
+    if stats == "running":
+        return _bnlstm_running(cell, xv, lay, want_gates)
     d, n, dt = cell.d_h, lay.rows, xv.dtype
     steps, b1 = len(lay.counts), int(lay.counts[0])
     bounds = [(int(lay.offsets[t]), int(lay.counts[t])) for t in range(steps)]
-    running = stats == "running"
-    ws = _Workspace() if running else _claim_workspace(cell)
+    ws = _claim_workspace(cell)
     XA = ws.take("xa", (n, 4 * d), dt)    # normalized recurrent term
     XU = ws.take("xu", (n, 4 * d), dt)    # normalized input term
     ACT = ws.take("act", (n, 4 * d), dt)  # f, i, tanh(g), o
@@ -429,13 +408,9 @@ def bnlstm_layer(cell: BNLSTMCell, X, lay: Layout, stats="train",
     Q = ws.take("q", (b1, d), dt)
     # before the temporary W_h.T copy: arrays the backward keeps, allocated
     # after it, pin its freed heap pages (+11 MB peak RSS in c10's step)
-    if running:
-        (m_a, inv_a), (m_u, inv_u), (m_c, inv_c) = (
-            _running_stats(site, steps) for site in cell.sites())
-    else:
-        inv_a = np.empty((steps, 4 * d), dt)
-        inv_u = np.empty((steps, 4 * d), dt)
-        inv_c = np.empty((steps, d), dt)
+    inv_a = np.empty((steps, 4 * d), dt)
+    inv_u = np.empty((steps, 4 * d), dt)
+    inv_c = np.empty((steps, d), dt)
 
     W_h, W_x = cell.W_h.value, cell.W_x.value
     W_hT = np.ascontiguousarray(W_h.T)
@@ -443,10 +418,6 @@ def bnlstm_layer(cell: BNLSTMCell, X, lay: Layout, stats="train",
     scale, shift = _gate_affine(d, dt)
     gh_s, gx_s, b_s = gh * scale, gx * scale, cell.b.value * scale
     np.matmul(xv, W_x, out=XU)
-    if running:
-        step, _ = lay.steps_items()
-        XU -= m_u[step]
-        XU *= inv_u[step]
     HP[:b1] = cell.h0.value
     CP[:b1] = cell.c0.value
     for t, (start, B) in enumerate(bounds):
@@ -454,14 +425,8 @@ def bnlstm_layer(cell: BNLSTMCell, X, lay: Layout, stats="train",
         xa, xu, act, c, xc = XA[r], XU[r], ACT[r], C[:B], XC[r]
         np.copyto(xa, np.matmul(W_hT, HP[r].T,
                                 out=flat[:4 * d * B].reshape(4 * d, B)).T)
-        if running:
-            xa -= m_a[t]
-            xa *= inv_a[t]
-        else:
-            _, mu_a, var_a, inv_a[t] = bn_normalize(xa, cell.site_h.eps,
-                                                    out=xa)
-            _, mu_u, var_u, inv_u[t] = bn_normalize(xu, cell.site_x.eps,
-                                                    out=xu)
+        _, mu_a, var_a, inv_a[t] = bn_normalize(xa, cell.site_h.eps, out=xa)
+        _, mu_u, var_u, inv_u[t] = bn_normalize(xu, cell.site_x.eps, out=xu)
         np.multiply(xa, gh_s, out=act)
         act += np.multiply(xu, gx_s, out=S[:B])
         act += b_s
@@ -470,11 +435,7 @@ def bnlstm_layer(cell: BNLSTMCell, X, lay: Layout, stats="train",
         act += shift
         np.multiply(act[:, :d], CP[r], out=c)
         c += np.multiply(act[:, d:2 * d], act[:, 2 * d:3 * d], out=Q[:B])
-        if running:
-            np.subtract(c, m_c[t], out=xc)
-            xc *= inv_c[t]
-        else:
-            _, mu_c, var_c, inv_c[t] = bn_normalize(c, cell.site_c.eps, out=xc)
+        _, mu_c, var_c, inv_c[t] = bn_normalize(c, cell.site_c.eps, out=xc)
         tc = np.multiply(xc, gc, out=TC[r])
         tc += cell.beta_c.value
         np.tanh(tc, out=tc)
@@ -490,9 +451,6 @@ def bnlstm_layer(cell: BNLSTMCell, X, lay: Layout, stats="train",
 
     G = np.concatenate((ACT[:, :2 * d], ACT[:, 3 * d:]), axis=1) \
         if want_gates else None
-    if running:
-        return (H, G) if want_gates else H
-
     params = [cell.W_h, cell.W_x, cell.b, cell.gamma_h, cell.gamma_x,
               cell.gamma_c, cell.beta_c, cell.h0, cell.c0]
     gate_grad = []
@@ -692,7 +650,9 @@ def encode(seq: FeatureSequence, model: Autoencoder) -> EncodeResult:
     """Encode one feature sequence into binary codes.
 
     The gate record comes from the last encoder layer; d_series[t] is the
-    Hamming distance between codes t+1 and t.
+    Hamming distance between codes t+1 and t. Features (after the cast
+    to the model's dtype) or code-layer hidden states that are not
+    finite raise NonFiniteValues, since a NaN would read as bit 0.
     """
     if seq.M < 1:
         raise EmptySequence(f"{seq.video_id}: empty feature sequence")
@@ -700,7 +660,14 @@ def encode(seq: FeatureSequence, model: Autoencoder) -> EncodeResult:
         raise ValueError(f"{seq.video_id}: encode expects normalized features")
     if seq.D != model.D:
         raise ShapeMismatch(f"features D={seq.D}, model D={model.D}")
-    hid, gates = _encoder_hidden_infer(model, seq.features.astype(model.dtype))
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        X = seq.features.astype(model.dtype)
+    if not np.isfinite(X).all():
+        raise NonFiniteValues(f"{seq.video_id}: non-finite feature values")
+    hid, gates = _encoder_hidden_infer(model, X)
+    if not np.isfinite(hid).all():
+        raise NonFiniteValues(f"{seq.video_id}: non-finite hidden states in "
+                              f"the code layer")
     codes = sgn_ste(ad.arctanh_clamped(hid, ARCTANH_MARGIN))
     return _encode_result(codes, gates, model.L)
 

@@ -171,60 +171,6 @@ def bn_transform(h, gamma, beta, stats: BNSiteStats, t: int, mode: str,
     return Tensor(out_v, parents, bwd)
 
 
-def bn2_add(a, b, gamma_a, gamma_b, bias,
-            stats_a: BNSiteStats, stats_b: BNSiteStats, t: int, mode: str,
-            update_stats: bool = True):
-    """BN(a; gamma_a) + BN(b; gamma_b) + bias as one fused node.
-
-    Both shift vectors are fixed at zero; the single bias covers them.
-    The whole expression is one tape node instead of five. Training and
-    inference both run the fused layer of ``model``; this per-step form
-    is only the step-by-step reference that layer is tested against, in
-    both modes.
-    """
-    av, bv = val(a), val(b)
-    ga, gb, bias_v = val(gamma_a), val(gamma_b), val(bias)
-
-    if mode == "infer":
-        ma, va_ = stats_a.stats_for(t)
-        mb, vb_ = stats_b.stats_for(t)
-        out = (av - ma) * (ga / np.sqrt(va_ + stats_a.eps)) \
-            + (bv - mb) * (gb / np.sqrt(vb_ + stats_b.eps)) + bias_v
-        if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
-            return out
-        raise ValueError("inference bn2_add expects plain arrays")
-    if mode != "train":
-        raise ValueError(f"unknown mode {mode!r}")
-
-    xa, mu_a, var_a, inv_a = bn_normalize(av, stats_a.eps)
-    xb, mu_b, var_b, inv_b = bn_normalize(bv, stats_b.eps)
-    if update_stats:
-        stats_a.update(t, mu_a, var_a)
-        stats_b.update(t, mu_b, var_b)
-    out_v = ga * xa
-    out_v += gb * xb
-    out_v += bias_v
-
-    live = tuple(x for x in (a, b, gamma_a, gamma_b, bias)
-                 if isinstance(x, Tensor))
-    if not live:
-        return out_v
-
-    def bwd(g):
-        if isinstance(gamma_a, Tensor):
-            ad._buf(gamma_a)[...] += np.einsum("bd,bd->d", g, xa)
-        if isinstance(gamma_b, Tensor):
-            ad._buf(gamma_b)[...] += np.einsum("bd,bd->d", g, xb)
-        if isinstance(bias, Tensor):
-            ad._buf(bias)[...] += g.sum(axis=0)
-        if isinstance(a, Tensor):
-            ad._buf(a)[...] += _bn_input_grad(g * ga, xa, inv_a)
-        if isinstance(b, Tensor):
-            ad._buf(b)[...] += _bn_input_grad(g * gb, xb, inv_b)
-
-    return Tensor(out_v, live, bwd)
-
-
 # -- straight-through binarization ---------------------------------------
 
 

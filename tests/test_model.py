@@ -5,12 +5,11 @@ import pytest
 
 from evhash import autodiff as ad
 from evhash import model as M
-from evhash.errors import (EmptySequence, MalformedFile, ShapeMismatch,
-                           TruncatedFile)
+from evhash.errors import (EmptySequence, MalformedFile, NonFiniteValues,
+                           ShapeMismatch, TruncatedFile)
 from evhash.ingest import FeatureSequence
 from evhash.model import (
     BNLSTMCell,
-    bnlstm_cell_step,
     build_model,
     decode,
     encode,
@@ -20,6 +19,7 @@ from evhash.model import (
     load_model,
     save_model,
 )
+from tests._reference import bnlstm_cell_step
 
 
 def zero_cell(d_x, d_h, eps=0.0):
@@ -176,6 +176,47 @@ class TestEncoderStack:
         with pytest.raises(EmptySequence):
             encode(FeatureSequence("v", np.zeros((0, 4)), normalized=True),
                    model)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39])
+    def test_non_finite_features_raise(self, bad):
+        # 1e39 is finite in float64 but overflows the float32 model's cast
+        model = build_model(D=6, L=4, encoder_dims=(5, 4, 3), seed=8,
+                            dtype=np.float32)
+        feats = np.random.default_rng(8).normal(size=(20, 6))
+        encode(FeatureSequence("v", feats, normalized=True), model)
+        feats[3, 2] = bad
+        with pytest.raises(NonFiniteValues):
+            encode(FeatureSequence("v", feats, normalized=True), model)
+
+    def test_non_finite_hidden_states_raise(self):
+        model = build_model(D=6, L=4, encoder_dims=(5, 4, 3), seed=8)
+        model.encoder[3].gamma_c.value[1] = np.nan
+        seq = rand_seq(np.random.default_rng(8), 20, 6)
+        with pytest.raises(NonFiniteValues):
+            encode(seq, model)
+
+    def test_running_mode_couples_no_items(self):
+        # running statistics are fixed per step, so each item of a ragged
+        # batch gets the code bits it gets when encoded alone. Momentum 1
+        # makes them one training batch's statistics, so the codes follow
+        # the input; they cover fewer steps (12) than the longest item.
+        rng = np.random.default_rng(23)
+        model = build_model(D=6, L=4, encoder_dims=(5, 4, 3), seed=24)
+        for p in model.parameters():
+            p.value[...] = rng.normal(scale=0.5, size=p.value.shape)
+        for cell in model.cells:
+            for site in cell.sites():
+                site.momentum = 1.0
+        M.forward_batch_train([rand_seq(rng, 12, 6) for _ in range(8)], model)
+        seqs = [rand_seq(rng, m, 6, f"v{m}") for m in (31, 22, 22, 9, 4, 1)]
+        lay = M.Layout([s.M for s in seqs])
+        enc, hid, _ = M._encoder(model, M.prepare_inputs(seqs, model.dtype),
+                                 lay, "running")
+        bits = (hid >= 0).astype(np.uint8)
+        assert 0 < bits.mean() < 1
+        for i, seq in enumerate(seqs):
+            np.testing.assert_array_equal(bits[enc.item_rows(i)],
+                                          encode(seq, model).codes)
 
 
 class TestDecoderStack:
@@ -468,3 +509,40 @@ class TestFusedLayer:
             p.value[idx] = orig
             assert abs((up - down) / (2 * h) - g[idx]) <= 1e-6 * max(
                 1.0, abs(g[idx]))
+
+    def test_batch_statistics_normalize_every_site(self):
+        # c03's property on the fused layer: over 50 ragged batches, each
+        # BN site's normalized values have batch mean 0 and variance 1 at
+        # every step. At step 1 every item's h_{t-1} is h0, so the
+        # recurrent term is constant over the batch and normalizes to 0.
+        # The recurrent terms of these small random cells can have a batch
+        # variance near 1e-4, so eps is 1e-10, not 1e-5, to keep
+        # var / (var + eps) within the bound of 1.
+        rng = np.random.default_rng(3)
+        worst_mean, worst_var = 0.0, 0.0
+        for trial in range(50):
+            d_x, d_h = (int(v) for v in rng.integers(2, 12, size=2))
+            b = int(rng.integers(16, 64))
+            lengths = np.sort(rng.integers(2, 12, size=b))[::-1]
+            lengths[:16] = lengths[0]  # 16 items or more at every step
+            lay = M.Layout(lengths)
+            cell = init_cell(d_x, d_h, rng, eps=1e-10)
+            for p in cell.parameters():
+                p.value[...] = rng.normal(scale=0.5, size=p.value.shape)
+            x = rng.normal(rng.normal(), rng.uniform(0.8, 3.0),
+                           size=(lay.rows, d_x))
+            M.bnlstm_layer(cell, x, lay, stats="train")
+            ws = cell.workspace
+            for name, dim, first in (("xa", 4 * d_h, 1), ("xu", 4 * d_h, 0),
+                                     ("xc", d_h, 0)):
+                xhat = ws.take(name, (lay.rows, dim), x.dtype)
+                for t in range(len(lay.counts)):
+                    r = slice(int(lay.offsets[t]), int(lay.offsets[t + 1]))
+                    worst_mean = max(worst_mean,
+                                     float(np.abs(xhat[r].mean(axis=0)).max()))
+                    if t >= first:
+                        worst_var = max(worst_var, float(
+                            np.abs(xhat[r].var(axis=0) - 1.0).max()))
+            assert np.abs(ws.take("xa", (b, 4 * d_h), x.dtype)).max() <= 1e-9
+        assert worst_mean <= 1e-9
+        assert worst_var <= 1e-4
