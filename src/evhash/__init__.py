@@ -13,6 +13,7 @@ from .ingest import (
     downscale_gray64,
     drop_alternate,
     extract_features,
+    kept_frame_index,
     load_feat,
     load_fseq,
     load_norm_stats,

@@ -1,5 +1,11 @@
 """Synthetic benchmark: procedural videos, time-cropped copies, and the
 retrieval evaluation (top-k accuracy plus hash-rate buckets).
+
+The evaluation ingests each source once, for its database entry. A copy
+reuses its source's normalized feature rows when every kept frame of the
+crop is a kept frame of the source, as for a copy that starts on an even
+second; any other copy (an odd start, which a ``copies.csv`` may give) is
+ingested again from its frames. The rows are the same either way.
 """
 
 from __future__ import annotations
@@ -10,10 +16,23 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import OutOfRange, TooShort, ZeroDuration
+from .errors import (
+    MalformedFile,
+    OutOfRange,
+    TooShort,
+    UnknownSource,
+    ZeroDuration,
+)
 from .hashing import EventDetectConfig, VideoHash, hash_video
 from .index import HashDatabase, db_add, query_topk
-from .ingest import FrameSequence, NormStats, extract_features, normalize
+from .ingest import (
+    FeatureSequence,
+    FrameSequence,
+    NormStats,
+    extract_features,
+    kept_frame_index,
+    normalize,
+)
 from .model import Autoencoder, encode
 
 BUCKET_EDGES = (10, 15, 20, 25, 30, 35, 40, 45, 50)
@@ -39,6 +58,18 @@ class CopySpec:
                              f"slide-{self.slide} grid of {self.T_c}")
         if self.start + self.T_c > self.T_fv:
             raise OutOfRange(f"copy {self} overruns its source")
+
+    def frame_range(self, seq: FrameSequence) -> tuple[int, int]:
+        """Frames [f0, f1) of ``seq`` that the copy spans."""
+        f0 = self.start * seq.fps
+        f1 = (self.start + self.T_c) * seq.fps
+        if f0.denominator != 1 or f1.denominator != 1:
+            raise OutOfRange(f"copy bounds {self} are not on frame boundaries")
+        f0, f1 = int(f0), int(f1)
+        if not 0 <= f0 < f1 <= len(seq.frames):
+            raise OutOfRange(f"crop [{f0}, {f1}) outside {len(seq.frames)} "
+                             f"frames")
+        return f0, f1
 
 
 # -- procedural video --------------------------------------------------------
@@ -128,13 +159,7 @@ def make_copies(T_fv: int, min_copy: int = 4, min_slide: int = 2,
 
 def crop_frames(seq: FrameSequence, spec: CopySpec) -> FrameSequence:
     """Copy the frames of [start, start + T_c) seconds, verbatim."""
-    f0 = spec.start * seq.fps
-    f1 = (spec.start + spec.T_c) * seq.fps
-    if f0.denominator != 1 or f1.denominator != 1:
-        raise OutOfRange(f"copy bounds {spec} are not on frame boundaries")
-    f0, f1 = int(f0), int(f1)
-    if not 0 <= f0 < f1 <= len(seq.frames):
-        raise OutOfRange(f"crop [{f0}, {f1}) outside {len(seq.frames)} frames")
+    f0, f1 = spec.frame_range(seq)
     return FrameSequence(seq.width, seq.height, seq.fps,
                          seq.frames[f0:f1].copy())
 
@@ -202,6 +227,14 @@ def run_eval(videos: list[FrameSequence], video_ids: list[str],
     """Hash the given videos into per-mode databases, query every copy,
     and aggregate top-k accuracies plus per-duration-bucket AHL/top-5.
 
+    Each source is ingested once, for the database. For a source that has
+    copies, its kept-frame index and normalized rows are kept until the
+    end of the call: one float64 row (8 KB) per kept frame, about the size
+    of the source's 64x64 frames. A copy whose kept frames are all kept
+    frames of its source (as for a copy that starts on an even second)
+    takes those rows; any other copy is ingested again from its cropped frames.
+    Either way the rows equal ``normalize(extract_features(crop))``.
+
     The restricted variants keep only copies whose slide is an even
     number of seconds but not a multiple of four.
     """
@@ -213,13 +246,20 @@ def run_eval(videos: list[FrameSequence], video_ids: list[str],
                   for spec in make_copies(int(seq.duration_seconds),
                                           source_id=vid)]
     by_id = dict(zip(video_ids, videos))
+    copied = {spec.source_id for spec in copies}
+    if not copied <= by_id.keys():
+        raise UnknownSource(f"copies of videos that are not given: "
+                            f"{sorted(copied - by_id.keys())}")
     durations = {vid: float(seq.duration_seconds)
                  for vid, seq in by_id.items()}
 
     dbs = {mode: HashDatabase(model.L, mode) for mode in modes}
     db_hashes = {mode: {} for mode in modes}
+    source_rows = {}  # source id -> (kept frame index, normalized rows)
     for vid, seq in by_id.items():
         feats = normalize(extract_features(seq, vid), stats)
+        if vid in copied:
+            source_rows[vid] = (kept_frame_index(seq), feats.features)
         enc = encode(feats, model)
         for mode in modes:
             vh = hash_video(enc, mode, detect_cfg, T_s, vid, durations[vid])
@@ -228,13 +268,20 @@ def run_eval(videos: list[FrameSequence], video_ids: list[str],
 
     results = {mode: [] for mode in modes}  # (source id, ranked ids)
     for qi, spec in enumerate(copies):
-        crop = crop_frames(by_id[spec.source_id], spec)
-        feats = normalize(extract_features(crop, f"{spec.source_id}:q{qi}"),
-                          stats)
+        qid = f"{spec.source_id}:q{qi}"
+        source = by_id[spec.source_id]
+        crop = crop_frames(source, spec)
+        # the crop's kept frames, numbered as frames of the source
+        want = kept_frame_index(crop) + spec.frame_range(source)[0]
+        keep, rows = source_rows[spec.source_id]
+        at = np.searchsorted(keep, want)
+        if at[-1] < len(keep) and np.array_equal(keep[at], want):
+            feats = FeatureSequence(qid, rows[at], normalized=True)
+        else:
+            feats = normalize(extract_features(crop, qid), stats)
         enc = encode(feats, model)
         for mode in modes:
-            vh = hash_video(enc, mode, detect_cfg, T_s,
-                            f"{spec.source_id}:q{qi}", float(spec.T_c))
+            vh = hash_video(enc, mode, detect_cfg, T_s, qid, float(spec.T_c))
             ranked = [vid for vid, _ in query_topk(dbs[mode], vh, k_max)]
             results[mode].append((spec.source_id, ranked))
         if progress is not None and (qi + 1) % 200 == 0:
@@ -262,10 +309,17 @@ def write_copies_csv(copies: list[CopySpec], path) -> None:
 
 
 def load_copies_csv(path) -> list[CopySpec]:
+    """Read the copies ``write_copies_csv`` writes; a missing column or a
+    field that is not an integer raises ``MalformedFile``."""
     with open(path, newline="") as f:
-        return [CopySpec(r["source_id"], int(r["slide"]), int(r["start"]),
-                         int(r["T_c"]), int(r["T_fv"]))
-                for r in csv.DictReader(f)]
+        rows = csv.DictReader(f)
+        try:
+            return [CopySpec(r["source_id"], int(r["slide"]), int(r["start"]),
+                             int(r["T_c"]), int(r["T_fv"]))
+                    for r in rows]
+        except (KeyError, TypeError, ValueError, csv.Error) as e:
+            raise MalformedFile(f"{path}, line {rows.line_num}: bad copy "
+                                f"row ({e!r})") from e
 
 
 def write_report_csvs(report: EvalReport, out_dir) -> list[str]:

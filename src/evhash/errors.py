@@ -126,3 +126,7 @@ class TooShort(DataError):
 
 class ZeroDuration(DataError):
     pass
+
+
+class UnknownSource(DataError):
+    """A copy whose source video is not among the evaluated videos."""

@@ -313,16 +313,22 @@ def drop_alternate(features: np.ndarray, video_id: str = "") -> FeatureSequence:
                                                           dtype=np.float64))
 
 
+def kept_frame_index(seq: FrameSequence) -> np.ndarray:
+    """Input frame index of each feature row of ``extract_features``: the
+    even entries of the 25 fps resample index."""
+    return _resample_index(len(seq.frames), seq.fps)[::2]
+
+
 def extract_features(seq: FrameSequence, video_id: str = "") -> FeatureSequence:
     """Full ingest chain: 25 fps, alternate-frame drop, 64x64 gray, DCT.
 
-    Only the kept frames (even indices of the 25 fps sequence) are
-    gathered, about ``_BLOCK_PIXELS`` pixels at a time, and each
+    Only the kept frames (``kept_frame_index``: even indices of the 25 fps
+    sequence) are gathered, about ``_BLOCK_PIXELS`` pixels at a time, and each
     block goes through one batched downscale and one batched DCT. The
     rows equal those of ``drop_alternate`` over ``dct_features(
     downscale_gray64(frame))`` of every resampled frame.
     """
-    keep = _resample_index(len(seq.frames), seq.fps)[::2]
+    keep = kept_frame_index(seq)
     # frames smaller than 64x64 grow in the downscale
     step = max(1, _BLOCK_PIXELS // max(64 * 64, seq.width * seq.height))
     rows = np.empty((len(keep), FEATURE_DIM))

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from evhash import bench
 from evhash.bench import (
     BUCKET_LABELS,
     CopySpec,
@@ -19,8 +20,9 @@ from evhash.bench import (
 )
 from evhash.errors import OutOfRange, TooShort, ZeroDuration
 from evhash.hashing import EventDetectConfig, VideoHash, hash_video
-from evhash.ingest import compute_norm_stats, extract_features
-from evhash.model import build_model
+from evhash.index import HashDatabase, db_add, query_topk
+from evhash.ingest import compute_norm_stats, extract_features, normalize
+from evhash.model import build_model, encode
 from tests.test_hashing import make_result
 
 
@@ -232,3 +234,87 @@ class TestRunEval:
         np.testing.assert_equal(only.topk, full.topk_restricted)
         np.testing.assert_equal(only.buckets, full.buckets_restricted)
         np.testing.assert_equal(only.topk_restricted, only.topk)
+
+
+def reference_eval(videos, ids, model, stats, copies,
+                   modes=("events", "sample", "sample_and_events"),
+                   T_s=4.0, k_max=10):
+    """``run_eval`` with a fresh ingest of every crop: the (topk, buckets,
+    topk_restricted, buckets_restricted) tables of each mode."""
+    cfg = EventDetectConfig(hard_threshold=max(1, model.L // 4))
+    by_id = dict(zip(ids, videos))
+    durations = {vid: float(seq.duration_seconds)
+                 for vid, seq in by_id.items()}
+    dbs = {mode: HashDatabase(model.L, mode) for mode in modes}
+    hashes = {mode: {} for mode in modes}
+    for vid, seq in by_id.items():
+        enc = encode(normalize(extract_features(seq, vid), stats), model)
+        for mode in modes:
+            hashes[mode][vid] = hash_video(enc, mode, cfg, T_s, vid,
+                                           durations[vid])
+            db_add(dbs[mode], hashes[mode][vid])
+    results = {mode: [] for mode in modes}
+    for qi, spec in enumerate(copies):
+        crop = crop_frames(by_id[spec.source_id], spec)
+        enc = encode(normalize(extract_features(crop), stats), model)
+        for mode in modes:
+            vh = hash_video(enc, mode, cfg, T_s, f"q{qi}", float(spec.T_c))
+            ranked = [vid for vid, _ in query_topk(dbs[mode], vh, k_max)]
+            results[mode].append((spec.source_id, ranked))
+    tables = {}
+    for mode in modes:
+        kept = [r for r, spec in zip(results[mode], copies)
+                if spec.slide % 4 == 2]
+        tables[mode] = (
+            *bench._summary(results[mode], hashes[mode], durations, k_max),
+            *bench._summary(kept, hashes[mode], durations, k_max))
+    return tables
+
+
+class TestCropFeatures:
+    """``run_eval`` gives a copy its source's rows where it can; they must
+    be the rows a fresh ingest of the crop gives."""
+
+    @pytest.mark.parametrize("fps", [25, 24, 15])
+    def test_rows_equal_a_fresh_ingest(self, eval_setup, monkeypatch, fps):
+        _, _, model, stats = eval_setup
+        source = synth_video(40 + fps, 20, fps=fps)
+        odd = CopySpec("src", 0, 5, 5, 20)  # starts on an odd second
+        copies = make_copies(20, source_id="src") + [odd]
+        encoded, ingested = [], []
+
+        def spy_encode(feats, net):
+            encoded.append(feats)
+            return encode(feats, net)
+
+        def spy_extract(seq, video_id=""):
+            ingested.append(video_id)
+            return extract_features(seq, video_id)
+
+        monkeypatch.setattr(bench, "encode", spy_encode)
+        monkeypatch.setattr(bench, "extract_features", spy_extract)
+        run_eval([source], ["src"], model, stats, copies=copies,
+                 modes=("events",))
+        assert len(encoded) == 1 + len(copies)
+        for spec, got in zip(copies, encoded[1:]):
+            want = normalize(extract_features(crop_frames(source, spec)),
+                             stats).features
+            assert got.normalized
+            assert got.features.dtype == want.dtype
+            assert got.features.shape == want.shape
+            assert got.features.tobytes() == want.tobytes()
+        # the source's ingest, then the odd copy's fallback only
+        assert ingested == ["src", f"src:q{len(copies) - 1}"]
+
+    def test_reports_equal_a_fresh_ingest_of_every_crop(self, eval_setup):
+        videos, ids, model, stats = eval_setup
+        copies = [spec for seq, vid in zip(videos, ids)
+                  for spec in make_copies(int(seq.duration_seconds),
+                                          source_id=vid)]
+        report = run_eval(videos, ids, model, stats, copies=copies)
+        want = reference_eval(videos, ids, model, stats, copies)
+        for mode in report.modes:
+            np.testing.assert_equal(
+                (report.topk[mode], report.buckets[mode],
+                 report.topk_restricted[mode],
+                 report.buckets_restricted[mode]), want[mode])

@@ -215,6 +215,24 @@ class TestPipeline:
                      "buckets_slide2mod4.csv"):
             assert (out_dir / name).exists()
 
+    @pytest.mark.parametrize("text", [
+        "source_id,T_fv,slide,start\nvid0000,8,0,0\n",
+        "source_id,T_fv,slide,start,T_c\nvid0000,8,0,0,four\n",
+        "source_id,T_fv,slide,start,T_c\nvid0000,8,0\n",
+        "source_id,T_fv,slide,start,T_c\nnosuch,8,0,0,4\n",
+    ], ids=["missing column", "non-integer field", "short row",
+            "unknown source"])
+    def test_eval_rejects_bad_copies(self, pipeline, tmp_path, capsys, text):
+        root, data, stats, model, db, feats, hashes = pipeline
+        copies = tmp_path / "copies.csv"
+        copies.write_text(text)
+        out_dir = tmp_path / "report"
+        code, _ = run(["eval", "--model", str(model), "--stats", str(stats),
+                       "--fseq-dir", str(data), "--copies", str(copies),
+                       "--out-dir", str(out_dir), "--th", "2"], capsys)
+        assert code == 2
+        assert not out_dir.exists()
+
     def test_idempotent_rerun(self, pipeline):
         root, data, stats, model, db, feats, hashes = pipeline
         model2 = root / "model2.mcbn"

@@ -24,6 +24,7 @@ from evhash.ingest import (
     downscale_gray64,
     drop_alternate,
     extract_features,
+    kept_frame_index,
     load_fseq,
     normalize,
     resample_to_25fps,
@@ -290,6 +291,15 @@ class TestExtractFeatures:
         assert got.video_id == "v" and not got.normalized
         assert got.features.dtype == np.float64
         np.testing.assert_array_equal(got.features, reference_features(seq))
+
+    @pytest.mark.parametrize("fps", [15, 24, 25, Fraction(30000, 1001), 50])
+    def test_one_row_per_kept_frame(self, fps):
+        for n in (1, 2, 37, 100):
+            seq = _random_seq(n, 8, 8, fps, seed=n)
+            keep = kept_frame_index(seq)
+            assert len(extract_features(seq).features) == len(keep)
+            np.testing.assert_array_equal(
+                seq.frames[keep], resample_to_25fps(seq).frames[::2])
 
     def test_zero_pixel_frames(self):
         seq = FrameSequence(0, 4, Fraction(25), np.zeros((3, 4, 0), np.uint8))
