@@ -19,7 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadRange, EmptyCodes, LengthMismatch, MalformedFile
+from .errors import (
+    BadRange,
+    EmptyCodes,
+    LengthMismatch,
+    MalformedFile,
+    ShapeMismatch,
+)
 from .model import EncodeResult
 
 MODES = ("events", "sample", "sample_and_events")
@@ -56,6 +62,9 @@ class VideoHash:
     def __post_init__(self):
         if len(self.events) < 1:
             raise EmptyCodes(f"{self.video_id}: hash has no events")
+        if self.events.ndim != 2 or self.events.shape[1] != self.L:
+            raise ShapeMismatch(f"{self.video_id}: events {self.events.shape}"
+                                f", L={self.L} needs {self.L} columns")
         if np.any(np.diff(self.end_steps) <= 0):
             raise BadRange(f"{self.video_id}: event ends must increase")
 

@@ -5,19 +5,30 @@ minimum Hamming distance to any of the entry's events; every entry holds
 at least one event. Codes are stored bit-packed (least significant bit
 first within each byte), one ``DbEntry`` per video id.
 
-``query_topk`` scans the whole database at once. The database keeps its
-events in one contiguous (N_events, ceil(L/64)) uint64 word matrix, the
-packed bytes of each event zero-padded to whole words, with each entry's
-first row beside it in insertion order; ids are read from ``db.entries``
-at each query. The matrix is built on the first query and extended in
-place on later ones with the entries added since; it is rebuilt when
-``db.entries`` changed in any other way, which is detected by the
-identity of the ``DbEntry`` objects (so replace an entry rather than
-mutating its arrays). A query XORs each of its events
-against every row, popcounts and sums the words, takes the minimum over
-each entry's rows with ``np.minimum.reduceat`` and adds it to an int64
-per-entry total. ``video_distance`` and ``event_min_distance`` run the
-same kernel over a single entry.
+``query_topk`` scans the whole database at once, from a scan store that
+the database keeps between queries. The store groups the entries by event
+count: bucket ``e`` holds the events of every entry with ``e`` events as
+one (e, n_e, ceil(L/64)) uint64 word array, event-major, each event's
+packed bytes zero-padded to whole words; beside it lies each entry's
+insertion position, and the store keeps the ids in insertion order.
+Bucket arrays grow 1.25-fold, and their spare room is left unwritten.
+
+Per bucket and per block of its entries, a query XORs all its events
+against the block at once, popcounts and sums the words, takes the
+minimum over the bucket's event axis, sums over the query's events and
+writes the int64 totals at the entries' insertion positions. A block
+XORs at most 2**15 words (one entry's events against one query event,
+when that is more), so a query's scratch does not grow with the database;
+its only per-entry arrays are the totals and the top-k selection.
+``video_distance`` and ``event_min_distance`` run the same kernel on a
+one-entry store.
+
+``db.entries`` is a dict that tracks its own changes. When ids were only
+added since the last query, the next query extends the store with the
+newest entries, with no work per stored entry. Any other change (replace,
+``del``, ``pop``, ``popitem``, ``clear``, ``update``, ``setdefault``,
+``|=``) rebuilds the store at the next query. A change to an entry's
+arrays in place goes unnoticed: replace the entry, never mutate it.
 
 VHDB file (little-endian): magic "VHDB", version u8=1, mode u8
 (0=events, 1=sample, 2=sample_and_events), L u32, video_count u32;
@@ -30,6 +41,8 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import reduce
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -59,8 +72,8 @@ def unpack_codes(packed: np.ndarray, L: int) -> np.ndarray:
     return np.unpackbits(packed, axis=-1, bitorder="little", count=L)
 
 
-# Equality is identity, which the scan store relies on to notice a replaced
-# entry in one C-level list comparison.
+# Equality is identity: a field-wise comparison of the arrays would have no
+# single truth value.
 @dataclass(eq=False)
 class DbEntry:
     packed: np.ndarray  # (E, ceil(L/8)) uint8
@@ -80,53 +93,96 @@ def _check_packed(vid, packed: np.ndarray, L: int) -> None:
         raise EmptyEntry(f"{vid!r} has no events")
 
 
-class _WordStore:
-    """Every entry's events as rows of one (rows, W) uint64 word matrix.
+class _Bucket:
+    """The entries with ``e`` events each, as words, event-major.
 
-    ``words[:rows]`` holds the events, entry after entry; ``entries[i]``
-    starts at row ``starts[i]``. Both arrays grow to 1.25 times what they
-    must hold, so appends are amortised copies; spare rows are left
-    unwritten, so their pages stay out of memory until used.
+    ``words[j, i]`` holds event j of the bucket's i-th entry for ``i < n``,
+    and ``pos[i]`` that entry's insertion position. Both arrays grow to
+    1.25 times what they must hold, so appends are amortised copies; spare
+    room is left unwritten, so its pages stay out of memory until used.
     """
 
     GROWTH = 1.25
 
-    def __init__(self, L: int):
-        self.L = L
-        self.words = np.zeros((0, _word_count(L)), np.uint64)
-        self.rows = 0
-        self._starts = np.zeros(0, np.intp)
-        self.entries: list[DbEntry] = []
+    def __init__(self, e: int, W: int):
+        self.words = np.empty((e, 0, W), np.uint64)
+        self.pos = np.empty(0, np.intp)
+        self.n = 0
 
-    @property
-    def starts(self) -> np.ndarray:
-        return self._starts[:len(self.entries)]
+    def extend(self, pos: list[int], packed: list[np.ndarray]) -> None:
+        n = self.n + len(pos)
+        if n > len(self.pos):
+            e, _, W = self.words.shape
+            grown = np.empty((e, int(n * self.GROWTH), W), np.uint64)
+            grown[:, :self.n] = self.words[:, :self.n]
+            self.words = grown
+            grown = np.empty(grown.shape[1], np.intp)
+            grown[:self.n] = self.pos[:self.n]
+            self.pos = grown
+        added = self.words[:, self.n:n]
+        added[..., -1] = 0  # the last word holds every padding byte
+        rows = np.concatenate(packed).reshape(len(pos), len(added), -1)
+        added.view(np.uint8)[..., :rows.shape[2]] = rows.transpose(1, 0, 2)
+        self.pos[self.n:n] = pos
+        self.n = n
+
+
+class _Store:
+    """What ``query_topk`` scans: every entry's events, bucketed by event
+    count, and the ids of the entries in insertion order. ``changes`` is
+    the change count of the ``_Entries`` the store was built from."""
+
+    def __init__(self, L: int, changes: int = 0):
+        self.L = L
+        self.changes = changes
+        self.ids: list[str] = []
+        self.buckets: dict[int, _Bucket] = {}
 
     def extend(self, ids: list[str], entries: list[DbEntry]) -> None:
-        """Append ``entries``; ``ids`` name them in error messages."""
-        packed = [e.packed for e in entries]
-        for vid, p in zip(ids, packed):
-            _check_packed(vid, p, self.L)
-        counts = np.fromiter(map(len, packed), np.intp, len(packed))
-        rows = self.rows + int(counts.sum())
-        n = len(self.entries) + len(entries)
-        if rows > len(self.words):
-            grown = np.empty((int(rows * self.GROWTH), self.words.shape[1]),
-                             np.uint64)
-            grown[:self.rows] = self.words[:self.rows]
-            self.words = grown
-        if n > len(self._starts):
-            grown = np.empty(int(n * self.GROWTH), np.intp)
-            grown[:len(self.entries)] = self.starts
-            self._starts = grown
-        added = self.words[self.rows:rows]
-        added[:, -1] = 0  # the last word holds every padding byte
-        np.concatenate(packed,
-                       out=added.view(np.uint8)[:, :packed[0].shape[1]])
-        self._starts[len(self.entries):n] = \
-            self.rows + np.cumsum(counts) - counts
-        self.rows = rows
-        self.entries += entries
+        """Append ``entries`` under ``ids``. Every entry is checked first,
+        so a bad one leaves the store as it was."""
+        groups: dict[int, tuple[list[int], list[np.ndarray]]] = {}
+        for i, (vid, entry) in enumerate(zip(ids, entries), len(self.ids)):
+            _check_packed(vid, entry.packed, self.L)
+            pos, packed = groups.setdefault(len(entry.packed), ([], []))
+            pos.append(i)
+            packed.append(entry.packed)
+        for e, (pos, packed) in groups.items():
+            bucket = self.buckets.get(e)
+            if bucket is None:
+                bucket = self.buckets[e] = _Bucket(e, _word_count(self.L))
+            bucket.extend(pos, packed)
+        self.ids += ids
+
+
+class _Entries(dict):
+    """``HashDatabase.entries``: a dict that counts every change other
+    than adding a new key, so the scan store can tell when extending it
+    by the newest keys is enough."""
+
+    changes = 0
+    # for a key the caller has checked is new: adding one is no change
+    _add_new = dict.__setitem__
+
+    def __setitem__(self, key, value):
+        if key in self:
+            self.changes += 1
+        dict.__setitem__(self, key, value)
+
+    def _counted(method):
+        def counted(self, *args, **kwargs):
+            self.changes += 1
+            return method(self, *args, **kwargs)
+        return counted
+
+    __delitem__ = _counted(dict.__delitem__)
+    pop = _counted(dict.pop)
+    popitem = _counted(dict.popitem)
+    clear = _counted(dict.clear)
+    update = _counted(dict.update)
+    setdefault = _counted(dict.setdefault)
+    __ior__ = _counted(dict.__ior__)
+    del _counted
 
 
 class HashDatabase:
@@ -137,11 +193,17 @@ class HashDatabase:
             raise ValueError(f"unknown hash mode {mode!r}")
         self.L = int(L)
         self.mode = mode
-        self.entries: dict[str, DbEntry] = {}
-        self._store: _WordStore | None = None
+        self._entries = _Entries()
+        self._store: _Store | None = None
+
+    @property
+    def entries(self) -> dict[str, DbEntry]:
+        """Entries by video id, in insertion order. To change an entry,
+        replace it; never mutate its arrays in place."""
+        return self._entries
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._entries)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HashDatabase):
@@ -153,23 +215,19 @@ class HashDatabase:
                         for a, b in zip(self.entries.values(),
                                         other.entries.values())))
 
-    def _scan_store(self) -> tuple[_WordStore, list[str]]:
-        """The word matrix of ``entries`` and the ids of its entries, in
-        order. The matrix is extended by the entries appended since the
-        last call and rebuilt after any other change; renamed keys need
-        neither, as the ids are read afresh."""
-        ids = list(self.entries)
-        entries = list(self.entries.values())
-        store = self._store
-        n = len(store.entries) if store is not None else 0
-        new = entries[n:]
-        del entries[n:]  # compare the prefix without copying it
-        if store is None or store.entries != entries:
-            store = self._store = _WordStore(self.L)
-            new, n = entries + new, 0
-        if new:
-            store.extend(ids[n:], new)
-        return store, ids
+    def _scan_store(self) -> _Store:
+        """The scan store of ``entries``: extended by the entries added
+        since the last call when nothing else changed, rebuilt otherwise."""
+        entries, store = self._entries, self._store
+        if store is None or store.changes != entries.changes:
+            store = _Store(self.L, entries.changes)
+            store.extend(list(entries), list(entries.values()))
+        elif len(entries) > len(store.ids):
+            new = list(islice(reversed(entries),
+                              len(entries) - len(store.ids)))[::-1]
+            store.extend(new, [entries[vid] for vid in new])
+        self._store = store
+        return store
 
 
 def db_add(db: HashDatabase, vh: VideoHash) -> None:
@@ -177,10 +235,11 @@ def db_add(db: HashDatabase, vh: VideoHash) -> None:
         raise LengthMismatch(f"hash L={vh.L}, database L={db.L}")
     if vh.mode != db.mode:
         raise ModeMismatch(f"hash mode {vh.mode!r}, database {db.mode!r}")
-    if vh.video_id in db.entries:
+    entries = db._entries
+    if vh.video_id in entries:
         raise DuplicateId(f"{vh.video_id!r} already stored")
-    db.entries[vh.video_id] = DbEntry(pack_codes(vh.events),
-                                      float(vh.duration_seconds))
+    entries._add_new(vh.video_id, DbEntry(pack_codes(vh.events),
+                                          float(vh.duration_seconds)))
 
 
 _VHDB_HEADER = struct.Struct("<4sBBII")
@@ -216,6 +275,7 @@ def db_load(path) -> HashDatabase:
     if mode_code >= len(MODES):
         raise UnsupportedVersion(f"{path}: unknown mode byte {mode_code}")
     db = HashDatabase(L, MODES[mode_code])
+    entries = db._entries
     nbytes = (L + 7) // 8
     pos = _VHDB_HEADER.size
 
@@ -238,10 +298,10 @@ def db_load(path) -> HashDatabase:
         if n_events < 1:
             raise EmptyEntry(f"{path}: {vid!r} has no events")
         packed = np.frombuffer(take(n_events * nbytes), dtype=np.uint8)
-        if vid in db.entries:
+        if vid in entries:
             raise DuplicateId(f"{path}: duplicate id {vid!r}")
-        db.entries[vid] = DbEntry(packed.reshape(n_events, nbytes).copy(),
-                                  duration)
+        entries._add_new(vid, DbEntry(packed.reshape(n_events, nbytes).copy(),
+                                      duration))
     if pos != len(data):
         raise MalformedFile(f"{path}: {len(data) - pos} bytes after the "
                             f"last entry")
@@ -250,7 +310,8 @@ def db_load(path) -> HashDatabase:
 
 # -- distances ---------------------------------------------------------------
 
-_CHUNK_ROWS = 1 << 14  # rows XORed at a time: bounds the scan's scratch
+# words XORed at a time (or one entry's events, if more): bounds the scratch
+_BLOCK_WORDS = 1 << 15
 
 
 def _words(packed: np.ndarray, L: int) -> np.ndarray:
@@ -260,39 +321,39 @@ def _words(packed: np.ndarray, L: int) -> np.ndarray:
     return words
 
 
-def _entry_totals(q_words: np.ndarray, words: np.ndarray,
-                  starts: np.ndarray) -> np.ndarray:
-    """Per entry, the sum over query events of the minimum Hamming distance
-    to the entry's events (int64).
-
-    ``words`` holds each entry's events as consecutive rows from
-    ``starts[i]``; every entry has at least one row, as ``reduceat`` gives
-    an empty segment the value of its neighbour.
-    """
-    rows, W = words.shape
-    dist = np.empty(rows, np.min_scalar_type(64 * W))
-    xor = np.empty(min(rows, _CHUNK_ROWS), np.uint64)
-    count = np.empty(len(xor), np.uint8)
-    total = np.zeros(len(starts), np.int64)
-    for q in q_words:
-        for r0 in range(0, rows, _CHUNK_ROWS):
-            r1 = min(r0 + _CHUNK_ROWS, rows)
-            x, c, d = xor[:r1 - r0], count[:r1 - r0], dist[r0:r1]
-            np.bitwise_count(np.bitwise_xor(words[r0:r1, 0], q[0], out=x),
-                             out=d)
-            for w in range(1, W):
-                np.bitwise_count(np.bitwise_xor(words[r0:r1, w], q[w], out=x),
-                                 out=c)
-                d += c
-        total += np.minimum.reduceat(dist, starts)
+def _entry_totals(q_words: np.ndarray, store: _Store) -> np.ndarray:
+    """Per entry of ``store``, in insertion order, the sum over query events
+    of the minimum Hamming distance to the entry's events (int64)."""
+    E_q, W = q_words.shape
+    total = np.empty(len(store.ids), np.int64)
+    for e, b in store.buckets.items():
+        # query events and entries per block: qn * e * W * step words, at
+        # most _BLOCK_WORDS unless one entry against one event is more
+        qn = min(E_q, max(1, _BLOCK_WORDS // (e * W)))
+        step = max(1, _BLOCK_WORDS // (qn * e * W))
+        for i0 in range(0, b.n, step):
+            i1 = min(i0 + step, b.n)
+            total[b.pos[i0:i1]] = reduce(np.add, (
+                _min_sums(q_words[q0:q0 + qn], b.words[:, i0:i1])
+                for q0 in range(0, E_q, qn)))
     return total
+
+
+def _min_sums(q_words: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Per entry of an (e, B, W) ``block``, the sum over the query events of
+    the minimum Hamming distance to the entry's e events (int64)."""
+    count = np.bitwise_count(q_words[:, None, None] ^ block)
+    W = block.shape[-1]
+    dist = (count[..., 0] if W == 1
+            else count.sum(axis=-1, dtype=np.min_scalar_type(64 * W)))
+    return dist.min(axis=1).sum(axis=0, dtype=np.int64)
 
 
 def _single_entry_total(q_bits: np.ndarray, entry: DbEntry) -> int:
     L = q_bits.shape[1]
-    _check_packed("entry", entry.packed, L)
-    return int(_entry_totals(_words(pack_codes(q_bits), L),
-                             _words(entry.packed, L), np.zeros(1, np.intp))[0])
+    store = _Store(L)
+    store.extend(["entry"], [entry])
+    return int(_entry_totals(_words(pack_codes(q_bits), L), store)[0])
 
 
 def event_min_distance(query_event: np.ndarray, entry: DbEntry) -> int:
@@ -318,12 +379,11 @@ def query_topk(db: HashDatabase, query: VideoHash, k: int):
         raise LengthMismatch(f"query L={query.L}, database L={db.L}")
     if k < 1:
         raise ValueError("k must be at least 1")
-    store, ids = db._scan_store()
-    total = _entry_totals(_words(pack_codes(query.events), db.L),
-                          store.words[:store.rows], store.starts)
+    store = db._scan_store()
+    total = _entry_totals(_words(pack_codes(query.events), db.L), store)
     k = min(k, len(total))
     kth = np.partition(total, k - 1)[k - 1]
     near = np.nonzero(total <= kth)[0]
     scored = sorted(zip((total[near] / query.E).tolist(),
-                        [ids[i] for i in near.tolist()]))
+                        [store.ids[i] for i in near.tolist()]))
     return [(vid, dist) for dist, vid in scored[:k]]

@@ -1,7 +1,10 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evhash.errors import (
     BadMagic,
@@ -164,6 +167,21 @@ class TestDatabase:
         with pytest.raises(ShapeMismatch):
             db_save(db, path)
         assert path.read_bytes() == b"old"
+
+    def test_bad_width_hash_leaves_database_unchanged(self):
+        rng = np.random.default_rng(13)
+        db = HashDatabase(16, "events")
+        db_add(db, make_hash(rng, "a", 16, 3))
+        for width in (24, 8):
+            with pytest.raises(ShapeMismatch):
+                db_add(db, VideoHash("bad", 16, np.ones((2, width), np.uint8),
+                                     np.array([1, 2]), "events", 1.0))
+        with pytest.raises(ShapeMismatch):
+            db_add(db, VideoHash("flat", 16, np.ones(16, np.uint8),
+                                 np.array([1]), "events", 1.0))
+        assert list(db.entries) == ["a"]
+        q = make_hash(rng, "q", 16, 2)
+        assert query_topk(db, q, 2) == ranking_oracle(db, q)
 
     def test_corrupted_magic(self, tmp_path):
         path = tmp_path / "db.vhdb"
@@ -332,6 +350,16 @@ class TestQueryTopk:
         with pytest.raises(EmptyDatabase):
             query_topk(db, q, 1)
 
+    def test_wide_or_narrow_query_raises(self):
+        rng = np.random.default_rng(17)
+        db = HashDatabase(16, "events")
+        db_add(db, make_hash(rng, "a", 16, 3))
+        for width in (24, 8):
+            with pytest.raises(ShapeMismatch):
+                q = VideoHash("q", 16, np.zeros((2, width), np.uint8),
+                              np.array([1, 2]), "events", 1.0)
+                query_topk(db, q, 1)
+
     def test_k_clamps_to_size(self):
         rng = np.random.default_rng(14)
         db = HashDatabase(8, "events")
@@ -339,8 +367,33 @@ class TestQueryTopk:
         assert len(query_topk(db, make_hash(rng, "q", 8, 2), 10)) == 1
 
 
+def _replace(entries, new):
+    entries["a03"] = new
+
+
+def _del(entries, new):
+    del entries["a03"]
+
+
+def _ior(entries, new):
+    entries |= {"a05": new, "c": new}
+
+
+# every way to change ``db.entries`` other than adding a new id
+MUTATORS = {
+    "replace": _replace,
+    "del": _del,
+    "pop": lambda entries, new: entries.pop("a03"),
+    "popitem": lambda entries, new: entries.popitem(),
+    "clear": lambda entries, new: entries.clear(),
+    "update": lambda entries, new: entries.update({"a03": new, "c": new}),
+    "setdefault": lambda entries, new: entries.setdefault("c", new),
+    "ior": _ior,
+}
+
+
 class TestScanStore:
-    """query_topk keeps a word matrix of the database between queries; it
+    """query_topk keeps a scan store of the database between queries; it
     must follow every change to ``db.entries``."""
 
     L = 70
@@ -415,3 +468,94 @@ class TestScanStore:
             query_topk(db, q, 2)
         del db.entries["b"]
         self.check(rng, db)
+
+    @pytest.mark.parametrize("mutator", MUTATORS)
+    def test_mutator(self, mutator):
+        # each change is followed by an add, so that the store cannot tell
+        # it from the database's length alone
+        rng = np.random.default_rng(26)
+        db = HashDatabase(self.L, "events")
+        self.fill(rng, db, "a", 8)
+        self.check(rng, db)
+        new = DbEntry(pack_codes(make_hash(rng, "x", self.L, 7).events), 1.0)
+        MUTATORS[mutator](db.entries, new)
+        self.fill(rng, db, "b", 1)
+        self.check(rng, db)
+        self.fill(rng, db, "d", 2)
+        self.check(rng, db)
+
+    def test_entries_cannot_be_reassigned(self):
+        db = HashDatabase(self.L, "events")
+        with pytest.raises(AttributeError):
+            db.entries = {}
+
+    def test_first_query_after_load(self, tmp_path):
+        rng = np.random.default_rng(27)
+        db = HashDatabase(self.L, "events")
+        self.fill(rng, db, "a", 12)
+        db_save(db, tmp_path / "db.vhdb")
+        loaded = db_load(tmp_path / "db.vhdb")
+        self.check(rng, loaded)
+        self.fill(rng, loaded, "b", 3)
+        self.check(rng, loaded)
+
+    @pytest.mark.parametrize("L", SCAN_LS)
+    def test_growth_across_event_counts(self, L):
+        rng = np.random.default_rng(28 + L)
+        db = HashDatabase(L, "events")
+        for step in range(10):  # buckets are added and grown between queries
+            for i in range(int(rng.integers(1, 7))):
+                db_add(db, make_hash(rng, f"{step}-{i}", L,
+                                     int(rng.integers(1, 21))))
+            q = make_hash(rng, "q", L, int(rng.integers(1, 4)))
+            assert query_topk(db, q, len(db) + 2) == ranking_oracle(db, q)
+
+    @settings(derandomize=True, deadline=None, max_examples=200,
+              database=None)
+    @given(L=st.sampled_from(SCAN_LS[:6]), seed=st.integers(0, 2**32 - 1),
+           ops=st.lists(st.tuples(
+               st.sampled_from(("add", "replace", "delete", "rename",
+                                "query")),
+               st.integers(0, 63), st.integers(1, 6)), max_size=25))
+    def test_random_changes_rank_as_oracle(self, L, seed, ops):
+        rng = np.random.default_rng(seed)
+        db = HashDatabase(L, "events")
+        for step, (op, pick, n) in enumerate(ops + [("query", 0, 3)]):
+            ids = list(db.entries)
+            if op == "add":
+                db_add(db, make_hash(rng, f"v{step:02d}", L, n))
+            elif op == "query" and ids:
+                q = make_hash(rng, "q", L, n)
+                k = 1 + pick % (len(ids) + 2)
+                assert query_topk(db, q, k) == ranking_oracle(db, q)[:k]
+            elif op != "query" and ids:
+                vid = ids[pick % len(ids)]
+                if op == "replace":
+                    db.entries[vid] = DbEntry(
+                        pack_codes(make_hash(rng, vid, L, n).events), 1.0)
+                elif op == "delete":
+                    del db.entries[vid]
+                else:
+                    db.entries[f"r{step:02d}"] = db.entries.pop(vid)
+
+
+class TestScratch:
+    def test_query_scratch_does_not_grow_with_database(self):
+        # about 70k L=64 events, 1 to 20 per entry
+        rng = np.random.default_rng(29)
+        counts = np.tile(np.arange(1, 21), 333)
+        packed = rng.integers(0, 256, size=(counts.sum(), 8), dtype=np.uint8)
+        db = HashDatabase(64, "events")
+        for i, (a, b) in enumerate(zip(np.cumsum(counts) - counts,
+                                       np.cumsum(counts))):
+            db.entries[f"v{i:05d}"] = DbEntry(packed[a:b], 1.0)
+        q = make_hash(rng, "q", 64, 16)
+        want = query_topk(db, q, 10)  # builds the scan store
+        tracemalloc.start()
+        try:
+            got = query_topk(db, q, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 1 << 20, f"query scratch peaked at {peak} bytes"
