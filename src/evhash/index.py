@@ -30,11 +30,11 @@ newest entries, with no work per stored entry. Any other change (replace,
 ``|=``) rebuilds the store at the next query. A change to an entry's
 arrays in place goes unnoticed: replace the entry, never mutate it.
 
-VHDB file (little-endian): magic "VHDB", version u8=1, mode u8
-(0=events, 1=sample, 2=sample_and_events), L u32, video_count u32;
-per video: id_len u16 + UTF-8 id, duration_s f32, event_count u32 (at
-least 1), then event_count * ceil(L/8) packed code bytes; nothing after
-the last video.
+VHDB file, read with :class:`evhash.binfile.Reader` (little-endian):
+magic "VHDB", version u8=1, mode u8 (0=events, 1=sample,
+2=sample_and_events), L u32, video_count u32; per video: id_len u16 +
+UTF-8 id, duration_s f32, event_count u32 (at least 1), then
+event_count * ceil(L/8) packed code bytes; nothing after the last video.
 """
 
 from __future__ import annotations
@@ -43,21 +43,18 @@ import struct
 from dataclasses import dataclass
 from functools import reduce
 from itertools import islice
-from pathlib import Path
 
 import numpy as np
 
+from .binfile import U8, Reader
 from .errors import (
-    BadMagic,
     DuplicateId,
     EmptyDatabase,
     EmptyEntry,
     EmptyQuery,
     LengthMismatch,
-    MalformedFile,
     ModeMismatch,
     ShapeMismatch,
-    TruncatedFile,
     UnsupportedVersion,
 )
 from .hashing import MODES, VideoHash
@@ -243,6 +240,8 @@ def db_add(db: HashDatabase, vh: VideoHash) -> None:
 
 
 _VHDB_HEADER = struct.Struct("<4sBBII")
+_ID_LEN = struct.Struct("<H")
+_ENTRY = struct.Struct("<fI")
 _MODE_CODE = {m: i for i, m in enumerate(MODES)}
 
 
@@ -264,47 +263,24 @@ def db_save(db: HashDatabase, path) -> None:
 
 
 def db_load(path) -> HashDatabase:
-    data = Path(path).read_bytes()
-    if len(data) < _VHDB_HEADER.size:
-        raise TruncatedFile(f"{path}: header incomplete")
-    magic, version, mode_code, L, count = _VHDB_HEADER.unpack_from(data)
-    if magic != b"VHDB":
-        raise BadMagic(f"{path}: expected VHDB, found {magic!r}")
-    if version != 1:
-        raise UnsupportedVersion(f"{path}: VHDB version {version}")
+    r = Reader(path, b"VHDB", _VHDB_HEADER)
+    mode_code, L, count = r.fields
     if mode_code >= len(MODES):
         raise UnsupportedVersion(f"{path}: unknown mode byte {mode_code}")
     db = HashDatabase(L, MODES[mode_code])
     entries = db._entries
     nbytes = (L + 7) // 8
-    pos = _VHDB_HEADER.size
-
-    def take(n):
-        nonlocal pos
-        if pos + n > len(data):
-            raise TruncatedFile(f"{path}: entry payload is short")
-        out = data[pos:pos + n]
-        pos += n
-        return out
-
     for _ in range(count):
-        (id_len,) = struct.unpack("<H", take(2))
-        try:
-            vid = take(id_len).decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise MalformedFile(f"{path}: video id is not UTF-8 ({e})") \
-                from None
-        duration, n_events = struct.unpack("<fI", take(8))
+        (id_len,) = r.unpack(_ID_LEN)
+        vid = r.text(id_len)
+        duration, n_events = r.unpack(_ENTRY)
         if n_events < 1:
             raise EmptyEntry(f"{path}: {vid!r} has no events")
-        packed = np.frombuffer(take(n_events * nbytes), dtype=np.uint8)
+        packed = r.array(U8, (n_events, nbytes))
         if vid in entries:
             raise DuplicateId(f"{path}: duplicate id {vid!r}")
-        entries._add_new(vid, DbEntry(packed.reshape(n_events, nbytes).copy(),
-                                      duration))
-    if pos != len(data):
-        raise MalformedFile(f"{path}: {len(data) - pos} bytes after the "
-                            f"last entry")
+        entries._add_new(vid, DbEntry(packed.copy(), duration))
+    r.close()
     return db
 
 

@@ -6,15 +6,17 @@ are then brought to 64x64 grayscale and transformed to low-frequency DCT
 coefficients, a block of frames per batched call, and the features are
 normalized with train-set statistics.
 
-Binary formats (all little-endian):
+Binary formats, read with :class:`evhash.binfile.Reader` (which checks
+the magic, the version, every declared size and trailing bytes):
 
 FSEQ  magic "FSEQ", version u8=1, width u16, height u16, fps_num u32,
       fps_den u32, frame_count u32, then frame_count frames of
-      width*height bytes, row-major.
-FEAT  magic "FEAT", version u8=1, normalized u8, D u32, M u32, then
-      M*D finite float32, row-major.
-NRM1  magic "NRM1", version u8=1, D u32, D finite float32 means, D
-      finite positive float32 stds.
+      width*height bytes, row-major; width, height and both fps fields
+      are not 0.
+FEAT  magic "FEAT", version u8=1, normalized u8, D u32, M u32 (neither
+      0), then M*D finite float32, row-major.
+NRM1  magic "NRM1", version u8=1, D u32 (not 0), D finite float32 means,
+      D finite positive float32 stds.
 """
 
 from __future__ import annotations
@@ -27,16 +29,14 @@ from pathlib import Path
 import numpy as np
 from scipy import fft as _fft
 
+from .binfile import F32, U8, Reader
 from .errors import (
-    BadMagic,
     DimensionMismatch,
     DoubleNormalize,
     EmptyFrame,
     EmptySequence,
     EmptyTrainSet,
     MalformedFile,
-    TruncatedFile,
-    UnsupportedVersion,
     WrongDimensions,
 )
 
@@ -105,17 +105,6 @@ def _round_half_up(num: int, den: int) -> int:
     return (2 * num + den) // (2 * den)
 
 
-def _check_size(data: bytes, need: int, path) -> None:
-    """Reject a file whose length is not the ``need`` bytes its header
-    declares: TruncatedFile if shorter, MalformedFile if longer."""
-    if len(data) < need:
-        raise TruncatedFile(f"{path}: header declares {need} bytes, "
-                            f"file has {len(data)}")
-    if len(data) > need:
-        raise MalformedFile(f"{path}: {len(data) - need} bytes after the "
-                            f"payload")
-
-
 # -- FSEQ ----------------------------------------------------------------
 
 _FSEQ_HEADER = struct.Struct("<4sBHHIII")
@@ -130,19 +119,14 @@ def write_fseq(seq: FrameSequence, path) -> None:
 
 
 def load_fseq(path) -> FrameSequence:
-    data = Path(path).read_bytes()
-    if len(data) < _FSEQ_HEADER.size:
-        raise TruncatedFile(f"{path}: header incomplete")
-    magic, version, width, height, num, den, count = \
-        _FSEQ_HEADER.unpack_from(data)
-    if magic != b"FSEQ":
-        raise BadMagic(f"{path}: expected FSEQ, found {magic!r}")
-    if version != 1:
-        raise UnsupportedVersion(f"{path}: FSEQ version {version}")
-    _check_size(data, _FSEQ_HEADER.size + count * width * height, path)
-    frames = np.frombuffer(
-        data, dtype=np.uint8, count=count * width * height,
-        offset=_FSEQ_HEADER.size).reshape(count, height, width).copy()
+    r = Reader(path, b"FSEQ", _FSEQ_HEADER)
+    width, height, num, den, count = r.fields
+    if num == 0 or den == 0:
+        raise MalformedFile(f"{path}: frame rate {num}/{den}")
+    if width == 0 or height == 0:
+        raise EmptyFrame(f"{path}: {width}x{height} frames have no pixels")
+    frames = r.array(U8, (count, height, width)).copy()
+    r.close()
     return FrameSequence(width, height, Fraction(num, den), frames)
 
 
@@ -160,23 +144,19 @@ def write_feat(seq: FeatureSequence, path) -> None:
 
 def load_feat(path, video_id: str | None = None) -> FeatureSequence:
     """Read a FEAT file; the video id defaults to the file stem."""
-    data = Path(path).read_bytes()
-    if len(data) < _FEAT_HEADER.size:
-        raise TruncatedFile(f"{path}: header incomplete")
-    magic, version, normalized, d, m = _FEAT_HEADER.unpack_from(data)
-    if magic != b"FEAT":
-        raise BadMagic(f"{path}: expected FEAT, found {magic!r}")
-    if version != 1:
-        raise UnsupportedVersion(f"{path}: FEAT version {version}")
-    _check_size(data, _FEAT_HEADER.size + 4 * d * m, path)
-    feats = np.frombuffer(data, dtype="<f4", count=d * m,
-                          offset=_FEAT_HEADER.size)
-    feats = feats.reshape(m, d).astype(np.float64)
+    r = Reader(path, b"FEAT", _FEAT_HEADER)
+    normalized, d, m = r.fields
+    if d == 0 or m == 0:
+        raise MalformedFile(f"{path}: {m} frames of dimension {d}")
+    feats = r.array(F32, (m, d))
+    r.close()
+    # checked before the cast, which would warn on a signalling NaN
     if not np.isfinite(feats).all():
         raise MalformedFile(f"{path}: non-finite feature values")
     if video_id is None:
         video_id = Path(path).stem
-    return FeatureSequence(video_id, feats, normalized=bool(normalized))
+    return FeatureSequence(video_id, feats.astype(np.float64),
+                           normalized=bool(normalized))
 
 
 # -- NRM1 ----------------------------------------------------------------
@@ -192,24 +172,17 @@ def write_norm_stats(stats: NormStats, path) -> None:
 
 
 def load_norm_stats(path) -> NormStats:
-    data = Path(path).read_bytes()
-    if len(data) < _NRM_HEADER.size:
-        raise TruncatedFile(f"{path}: header incomplete")
-    magic, version, d = _NRM_HEADER.unpack_from(data)
-    if magic != b"NRM1":
-        raise BadMagic(f"{path}: expected NRM1, found {magic!r}")
-    if version != 1:
-        raise UnsupportedVersion(f"{path}: NRM1 version {version}")
-    _check_size(data, _NRM_HEADER.size + 8 * d, path)
-    mean = np.frombuffer(data, dtype="<f4", count=d,
-                         offset=_NRM_HEADER.size).astype(np.float64)
-    std = np.frombuffer(data, dtype="<f4", count=d,
-                        offset=_NRM_HEADER.size + 4 * d).astype(np.float64)
+    r = Reader(path, b"NRM1", _NRM_HEADER)
+    (d,) = r.fields
+    if d == 0:
+        raise MalformedFile(f"{path}: statistics of dimension 0")
+    mean, std = r.array(F32, (2, d))
+    r.close()
     if not (np.isfinite(mean).all() and np.isfinite(std).all()
             and (std > 0).all()):
         raise MalformedFile(f"{path}: a mean is not finite or a std is not "
                             f"finite and positive")
-    return NormStats(mean=mean, std=std)
+    return NormStats(mean=mean.astype(np.float64), std=std.astype(np.float64))
 
 
 # -- preprocessing -------------------------------------------------------

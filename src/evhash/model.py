@@ -28,13 +28,14 @@ recurrence and runs on plain arrays without a tape, one small GEMM and
 a dozen in-place ufuncs per step. Features or code-layer hidden states
 that are not finite stop ``encode`` with NonFiniteValues.
 
-Checkpoint format MCBN (little-endian): magic "MCBN", version u8=1,
-layer count u8 (8), then per layer: d_x u32, d_h u32, the float32 tensors
-W_h, W_x, b, gamma_h, gamma_x, gamma_c, beta_c, h0, c0, and the three
-statistic sites (recurrent, input, cell), each as max_train_timestep u32
-followed per timestep by a mean vector then a variance vector (float32).
-After the layers: D u32, L u32, momentum f32, eps f32, max train input
-length u32.
+Checkpoint format MCBN, read with :class:`evhash.binfile.Reader`
+(little-endian): magic "MCBN", version u8=1, layer count u8 (8), then
+per layer: d_x u32, d_h u32 (not 0), the float32 tensors W_h, W_x, b,
+gamma_h, gamma_x, gamma_c, beta_c, h0, c0, and the three statistic
+sites (recurrent, input, cell), each as max_train_timestep u32 followed
+per timestep by a mean vector then a variance vector (float32). After
+the layers: D u32, L u32, momentum f32, eps f32, max train input length
+u32.
 """
 
 from __future__ import annotations
@@ -42,21 +43,18 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, val
+from .binfile import F32, Reader
 from .errors import (
-    BadMagic,
     EmptyCodes,
     EmptySequence,
     MalformedFile,
     NonFiniteValues,
     ShapeMismatch,
-    TruncatedFile,
-    UnsupportedVersion,
 )
 from .ingest import FeatureSequence
 from .numerics import (BNSiteStats, Parameter, bn_centered_grad, bn_normalize,
@@ -717,29 +715,6 @@ def save_model(model: Autoencoder, path) -> None:
                                 model.eps, model.max_input_len))
 
 
-class _Reader:
-    def __init__(self, data, path):
-        self.data = memoryview(data)
-        self.pos = 0
-        self.path = path
-
-    def take(self, n):
-        if self.pos + n > len(self.data):
-            raise TruncatedFile(f"{self.path}: checkpoint payload is short")
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, st: struct.Struct):
-        return st.unpack(self.take(st.size))
-
-    def floats(self, shape, dtype):
-        """A float32 tensor of ``shape``; the bytes left are checked to
-        cover it before anything is allocated."""
-        raw = self.take(4 * math.prod(shape))
-        return np.frombuffer(raw, dtype="<f4").astype(dtype).reshape(shape)
-
-
 _DIMS = struct.Struct("<II")
 _COUNT = struct.Struct("<I")
 
@@ -748,38 +723,35 @@ def load_model(path, dtype=np.float64) -> Autoencoder:
     """Rebuild an autoencoder from an MCBN checkpoint.
 
     save(load(f)) reproduces f byte for byte: values are stored as
-    float32 and upcasting is exact. A file whose layer widths do not
-    chain D -> ... -> L -> ... -> D, or with bytes after the trailer,
-    raises MalformedFile.
+    float32 and upcasting is exact. A file with a layer of width 0, whose
+    layer widths do not chain D -> ... -> L -> ... -> D, or with bytes
+    after the trailer, raises MalformedFile.
     """
-    r = _Reader(Path(path).read_bytes(), path)
-    magic, version, n_layers = r.unpack(_MCBN_HEADER)
-    if magic != b"MCBN":
-        raise BadMagic(f"{path}: expected MCBN, found {magic!r}")
-    if version != 1:
-        raise UnsupportedVersion(f"{path}: MCBN version {version}")
+    r = Reader(path, b"MCBN", _MCBN_HEADER)
+    (n_layers,) = r.fields
     if n_layers != 8:
         raise MalformedFile(f"{path}: {n_layers} layers, expected 8")
 
     dims, layers = [], []
     for i in range(n_layers):
         d_x, d_h = r.unpack(_DIMS)
+        if d_h == 0:
+            # its statistic sites would take no bytes for any step count
+            raise MalformedFile(f"{path}: layer {i + 1} has no hidden units")
         if dims and d_x != dims[-1][1]:
             raise MalformedFile(f"{path}: layer {i + 1} takes {d_x} inputs, "
                                 f"layer {i} emits {dims[-1][1]}")
         dims.append((d_x, d_h))
         shapes = [(d_h, 4 * d_h), (d_x, 4 * d_h), *[(4 * d_h,)] * 3,
                   *[(d_h,)] * 4]
-        values = [r.floats(shape, dtype) for shape in shapes]
+        values = [r.array(F32, shape).astype(dtype) for shape in shapes]
         sites = []
         for dim in (4 * d_h, 4 * d_h, d_h):
             (n_t,) = r.unpack(_COUNT)
-            sites.append(r.floats((n_t, 2, dim), dtype))
+            sites.append(r.array(F32, (n_t, 2, dim)).astype(dtype))
         layers.append((values, sites))
     D, L, momentum, eps, max_len = r.unpack(_MCBN_META)
-    if r.pos != len(r.data):
-        raise MalformedFile(f"{path}: {len(r.data) - r.pos} bytes after "
-                            f"the trailer")
+    r.close()
     if (dims[0][0], dims[3][1], dims[7][1]) != (D, L, D):
         raise MalformedFile(f"{path}: layer widths {dims} do not run "
                             f"D={D} -> L={L} -> D")

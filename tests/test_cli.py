@@ -33,6 +33,22 @@ class TestUsageErrors:
                      "--out", str(tmp_path / "o.feat")])
         assert code == 2
 
+    @pytest.mark.parametrize("num, den", [(0, 1), (25, 0)])
+    def test_zero_frame_rate_exit_2(self, tmp_path, capsys, num, den):
+        bad = tmp_path / "bad.fseq"
+        bad.write_bytes(struct.pack("<4sBHHIII", b"FSEQ", 1, 2, 2, num, den,
+                                    1) + bytes(4))
+        assert main(["ingest", "--in", str(bad),
+                     "--out", str(tmp_path / "o.feat")]) == 2
+
+    def test_empty_feat_stats_exit_2(self, tmp_path, capsys):
+        feat = tmp_path / "e.feat"
+        ingest.write_feat(ingest.FeatureSequence(
+            "e", np.zeros((0, ingest.FEATURE_DIM))), feat)
+        out = tmp_path / "s.nrm1"
+        assert main(["stats", "--out", str(out), str(feat)]) == 2
+        assert not out.exists()
+
 
 class TestQueryMalformedInputs:
     """``evhash query`` ends in exit code 2, not a traceback, on a corrupt

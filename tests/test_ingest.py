@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -95,6 +97,24 @@ class TestFseqFile:
         data += bytes(16)
         path.write_bytes(bytes(data))
         with pytest.raises(UnsupportedVersion):
+            load_fseq(path)
+
+    @pytest.mark.parametrize("num, den", [(0, 1), (25, 0), (0, 0)])
+    def test_zero_frame_rate(self, tmp_path, num, den):
+        path = tmp_path / "x.fseq"
+        path.write_bytes(struct.pack("<4sBHHIII", b"FSEQ", 1, 2, 2, num, den,
+                                     1) + bytes(4))
+        with pytest.raises(MalformedFile):
+            load_fseq(path)
+
+    @pytest.mark.parametrize("width, height", [(0, 8), (8, 0)])
+    def test_zero_pixel_header(self, tmp_path, width, height):
+        # 2**32 - 1 empty frames take no payload; rejected at load, before
+        # resampling would index them all
+        path = tmp_path / "x.fseq"
+        path.write_bytes(struct.pack("<4sBHHIII", b"FSEQ", 1, width, height,
+                                     25, 1, 2 ** 32 - 1))
+        with pytest.raises(EmptyFrame):
             load_fseq(path)
 
 
@@ -405,6 +425,20 @@ class TestFeatFile:
         ingest.write_norm_stats(
             ingest.NormStats(mean=np.zeros(2), std=np.ones(2)), path)
         path.write_bytes(path.read_bytes() + bytes(7))
+        with pytest.raises(MalformedFile):
+            ingest.load_norm_stats(path)
+
+    @pytest.mark.parametrize("shape", [(0, 4), (3, 0), (0, 0)])
+    def test_empty_feat_rejected(self, tmp_path, shape):
+        path = tmp_path / "clip.feat"
+        ingest.write_feat(FeatureSequence("clip", np.zeros(shape)), path)
+        with pytest.raises(MalformedFile):
+            ingest.load_feat(path)
+
+    def test_zero_dim_norm_stats_rejected(self, tmp_path):
+        path = tmp_path / "s.nrm1"
+        ingest.write_norm_stats(
+            ingest.NormStats(mean=np.zeros(0), std=np.zeros(0)), path)
         with pytest.raises(MalformedFile):
             ingest.load_norm_stats(path)
 

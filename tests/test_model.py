@@ -5,8 +5,8 @@ import pytest
 
 from evhash import autodiff as ad
 from evhash import model as M
-from evhash.errors import (EmptySequence, MalformedFile, NonFiniteValues,
-                           ShapeMismatch, TruncatedFile)
+from evhash.errors import (BadMagic, EmptySequence, MalformedFile,
+                           NonFiniteValues, ShapeMismatch, TruncatedFile)
 from evhash.ingest import FeatureSequence
 from evhash.model import (
     BNLSTMCell,
@@ -334,6 +334,14 @@ class TestCheckpoint:
         with pytest.raises(TruncatedFile):
             load_model(path)
 
+    def test_zero_width_layer(self, tmp_path):
+        # its sites hold 2**32 - 1 empty steps each, in no bytes at all
+        path = tmp_path / "m.mcbn"
+        path.write_bytes(struct.pack("<4sBBII", b"MCBN", 1, 8, 3, 0)
+                         + struct.pack("<III", *[2 ** 32 - 1] * 3))
+        with pytest.raises(MalformedFile):
+            load_model(path)
+
     def test_dims_must_chain_from_d_to_l_to_d(self, saved):
         model, path = saved
         good = path.read_bytes()
@@ -352,7 +360,7 @@ class TestCheckpoint:
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "x.mcbn"
         p.write_bytes(b"NOPE" + bytes(10))
-        with pytest.raises(Exception):
+        with pytest.raises(BadMagic):
             load_model(p)
 
 
