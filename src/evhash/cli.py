@@ -2,7 +2,8 @@
 db-build -> query / eval / dseries.
 
 Results go to stdout, progress to stderr. Exit codes: 0 on success,
-1 on usage errors, 2 on data errors (bad files, mismatched inputs).
+1 on usage errors (a bad flag value among them), 2 on data errors (bad,
+missing or unreadable files, mismatched inputs).
 """
 
 from __future__ import annotations
@@ -33,9 +34,8 @@ def _write_seed_sidecar(artifact_path, seed: int) -> None:
 def cmd_synth(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if args.durations:
-        durations = [int(d) for d in args.durations.split(",")]
-    else:
+    durations = args.durations
+    if durations is None:
         rng = np.random.default_rng(args.seed)
         durations = [int(rng.integers(args.min_duration,
                                       args.max_duration + 1))
@@ -74,9 +74,9 @@ def cmd_train(args) -> int:
     stats = ingest.load_norm_stats(args.stats)
     train_set = [ingest.normalize(ingest.load_feat(p), stats)
                  for p in args.feats]
-    dims = tuple(int(d) for d in args.enc_dims.split(","))
+    dims = tuple(args.enc_dims)
     if len(dims) != 3:
-        raise DataError(f"--enc-dims needs three values, got {args.enc_dims}")
+        raise DataError(f"--enc-dims needs three values, got {len(dims)}")
     dtype = _DTYPES[args.dtype]
     net = model_mod.build_model(D=stats.D, L=args.L, encoder_dims=dims,
                                 seed=args.seed, dtype=dtype)
@@ -159,9 +159,8 @@ def cmd_eval(args) -> int:
     videos = [ingest.load_fseq(p) for p in fseq_paths]
     ids = [p.stem for p in fseq_paths]
     copies = bench.load_copies_csv(args.copies) if args.copies else None
-    modes = tuple(args.modes.split(","))
     report = bench.run_eval(
-        videos, ids, net, stats, copies=copies, modes=modes, T_s=args.ts,
+        videos, ids, net, stats, copies=copies, modes=args.modes, T_s=args.ts,
         detect_cfg=_detect_cfg(args),
         progress=lambda done, total: _progress(f"eval {done}/{total} queries"))
     out_dir = Path(args.out_dir)
@@ -183,6 +182,31 @@ def cmd_dseries(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _positive_ints(text: str) -> list[int]:
+    return [_positive_int(t) for t in text.split(",")]
+
+
+def _modes(text: str) -> tuple[str, ...]:
+    modes = tuple(text.split(","))
+    for mode in modes:
+        if mode not in hashing.MODES:
+            raise argparse.ArgumentTypeError(
+                f"unknown hash mode {mode!r} (choose from "
+                f"{', '.join(hashing.MODES)})")
+    return modes
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="evhash",
@@ -200,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--min-duration", type=int, default=20)
     sp.add_argument("--max-duration", type=int, default=60)
-    sp.add_argument("--durations",
+    sp.add_argument("--durations", type=_positive_ints,
                     help="comma-separated seconds, overrides --count/--min/--max")
 
     sp = add("ingest", cmd_ingest, "FSEQ -> FEAT feature extraction")
@@ -216,13 +240,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--stats", required=True)
     sp.add_argument("--out", dest="outfile", required=True)
     sp.add_argument("--loss-log")
-    sp.add_argument("--epochs", type=int, default=100)
+    sp.add_argument("--epochs", type=_positive_int, default=100)
     sp.add_argument("--batch-size", type=int, default=32)
     sp.add_argument("--lr", type=float, default=1e-3)
-    sp.add_argument("--th", type=int, default=16)
+    sp.add_argument("--th", type=_positive_int, default=16)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--L", type=int, default=64)
-    sp.add_argument("--enc-dims", default="256,256,64")
+    sp.add_argument("--L", type=_positive_int, default=64)
+    sp.add_argument("--enc-dims", type=_positive_ints, default="256,256,64")
     sp.add_argument("--dtype", choices=sorted(_DTYPES), default="float64")
     sp.add_argument("--ckpt-every", type=int, default=0)
     sp.add_argument("--ckpt-dir")
@@ -235,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", dest="outfile", required=True)
     sp.add_argument("--mode", choices=hashing.MODES, default="events")
     sp.add_argument("--ts", type=float, default=4.0)
-    sp.add_argument("--th", type=int, default=16)
+    sp.add_argument("--th", type=_positive_int, default=16)
     sp.add_argument("--duration", type=float,
                     help="true duration in seconds (default: 2*M/25)")
 
@@ -252,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("query", cmd_query, "rank database videos for a query hash")
     sp.add_argument("--db", required=True)
     sp.add_argument("--hash", required=True)
-    sp.add_argument("--topk", type=int, default=10)
+    sp.add_argument("--topk", type=_positive_int, default=10)
 
     sp = add("eval", cmd_eval, "full copy-retrieval evaluation -> CSV reports")
     sp.add_argument("--model", required=True)
@@ -261,15 +285,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--copies", help="copies.csv (default: enumerate all)")
     sp.add_argument("--out-dir", required=True)
     sp.add_argument("--ts", type=float, default=4.0)
-    sp.add_argument("--th", type=int, default=16)
-    sp.add_argument("--modes", default="events,sample,sample_and_events")
+    sp.add_argument("--th", type=_positive_int, default=16)
+    sp.add_argument("--modes", type=_modes,
+                    default="events,sample,sample_and_events")
 
     sp = add("dseries", cmd_dseries, "adjacent-Hamming profile -> CSV")
     sp.add_argument("--model", required=True)
     sp.add_argument("--stats", help="NRM1 file (needed for raw FEAT input)")
     sp.add_argument("--feat", required=True)
     sp.add_argument("--out", dest="outfile", required=True)
-    sp.add_argument("--th", type=int, default=16)
+    sp.add_argument("--th", type=_positive_int, default=16)
 
     return p
 
@@ -282,7 +307,7 @@ def main(argv=None) -> int:
         return 0 if e.code == 0 else 1
     try:
         return args.func(args)
-    except DataError as e:
+    except (DataError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

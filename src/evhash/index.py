@@ -23,12 +23,11 @@ its only per-entry arrays are the totals and the top-k selection.
 ``video_distance`` and ``event_min_distance`` run the same kernel on a
 one-entry store.
 
-``db.entries`` is a dict that tracks its own changes. When ids were only
-added since the last query, the next query extends the store with the
-newest entries, with no work per stored entry. Any other change (replace,
-``del``, ``pop``, ``popitem``, ``clear``, ``update``, ``setdefault``,
-``|=``) rebuilds the store at the next query. A change to an entry's
-arrays in place goes unnoticed: replace the entry, never mutate it.
+The database is append-only: ``db.entries`` is a read-only view, and
+``db_add`` and ``db_load`` are its only writers. So the store is never
+rebuilt: a query first extends it with the entries added since the last
+one, with no work per stored entry. An entry must not change once added:
+the store holds its own copy of the entry's events.
 
 VHDB file, read with :class:`evhash.binfile.Reader` (little-endian):
 magic "VHDB", version u8=1, mode u8 (0=events, 1=sample,
@@ -40,9 +39,11 @@ event_count * ceil(L/8) packed code bytes; nothing after the last video.
 from __future__ import annotations
 
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import reduce
 from itertools import islice
+from types import MappingProxyType
 
 import numpy as np
 
@@ -126,12 +127,10 @@ class _Bucket:
 
 class _Store:
     """What ``query_topk`` scans: every entry's events, bucketed by event
-    count, and the ids of the entries in insertion order. ``changes`` is
-    the change count of the ``_Entries`` the store was built from."""
+    count, and the ids of the entries in insertion order."""
 
-    def __init__(self, L: int, changes: int = 0):
+    def __init__(self, L: int):
         self.L = L
-        self.changes = changes
         self.ids: list[str] = []
         self.buckets: dict[int, _Bucket] = {}
 
@@ -152,52 +151,22 @@ class _Store:
         self.ids += ids
 
 
-class _Entries(dict):
-    """``HashDatabase.entries``: a dict that counts every change other
-    than adding a new key, so the scan store can tell when extending it
-    by the newest keys is enough."""
-
-    changes = 0
-    # for a key the caller has checked is new: adding one is no change
-    _add_new = dict.__setitem__
-
-    def __setitem__(self, key, value):
-        if key in self:
-            self.changes += 1
-        dict.__setitem__(self, key, value)
-
-    def _counted(method):
-        def counted(self, *args, **kwargs):
-            self.changes += 1
-            return method(self, *args, **kwargs)
-        return counted
-
-    __delitem__ = _counted(dict.__delitem__)
-    pop = _counted(dict.pop)
-    popitem = _counted(dict.popitem)
-    clear = _counted(dict.clear)
-    update = _counted(dict.update)
-    setdefault = _counted(dict.setdefault)
-    __ior__ = _counted(dict.__ior__)
-    del _counted
-
-
 class HashDatabase:
-    """In-memory store of packed event codes, one entry per video id."""
+    """Append-only, in-memory store of packed event codes, one entry per
+    video id."""
 
     def __init__(self, L: int, mode: str):
         if mode not in MODES:
             raise ValueError(f"unknown hash mode {mode!r}")
         self.L = int(L)
         self.mode = mode
-        self._entries = _Entries()
-        self._store: _Store | None = None
+        self._entries: dict[str, DbEntry] = {}
+        self._store = _Store(self.L)
 
     @property
-    def entries(self) -> dict[str, DbEntry]:
-        """Entries by video id, in insertion order. To change an entry,
-        replace it; never mutate its arrays in place."""
-        return self._entries
+    def entries(self) -> Mapping[str, DbEntry]:
+        """Entries by video id, in insertion order, as a read-only view."""
+        return MappingProxyType(self._entries)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -213,17 +182,13 @@ class HashDatabase:
                                         other.entries.values())))
 
     def _scan_store(self) -> _Store:
-        """The scan store of ``entries``: extended by the entries added
-        since the last call when nothing else changed, rebuilt otherwise."""
+        """The scan store, extended by the entries added since the last
+        call."""
         entries, store = self._entries, self._store
-        if store is None or store.changes != entries.changes:
-            store = _Store(self.L, entries.changes)
-            store.extend(list(entries), list(entries.values()))
-        elif len(entries) > len(store.ids):
+        if len(entries) > len(store.ids):
             new = list(islice(reversed(entries),
                               len(entries) - len(store.ids)))[::-1]
             store.extend(new, [entries[vid] for vid in new])
-        self._store = store
         return store
 
 
@@ -232,11 +197,10 @@ def db_add(db: HashDatabase, vh: VideoHash) -> None:
         raise LengthMismatch(f"hash L={vh.L}, database L={db.L}")
     if vh.mode != db.mode:
         raise ModeMismatch(f"hash mode {vh.mode!r}, database {db.mode!r}")
-    entries = db._entries
-    if vh.video_id in entries:
+    if vh.video_id in db._entries:
         raise DuplicateId(f"{vh.video_id!r} already stored")
-    entries._add_new(vh.video_id, DbEntry(pack_codes(vh.events),
-                                          float(vh.duration_seconds)))
+    db._entries[vh.video_id] = DbEntry(pack_codes(vh.events),
+                                       float(vh.duration_seconds))
 
 
 _VHDB_HEADER = struct.Struct("<4sBBII")
@@ -279,7 +243,7 @@ def db_load(path) -> HashDatabase:
         packed = r.array(U8, (n_events, nbytes))
         if vid in entries:
             raise DuplicateId(f"{path}: duplicate id {vid!r}")
-        entries._add_new(vid, DbEntry(packed.copy(), duration))
+        entries[vid] = DbEntry(packed.copy(), duration)
     r.close()
     return db
 

@@ -50,6 +50,63 @@ class TestUsageErrors:
         assert not out.exists()
 
 
+class TestBadValues:
+    """A flag value the command cannot use is a usage error: exit 1 and a
+    usage message, with no traceback and no file written."""
+
+    REQUIRED = {
+        "train": ["--stats", "s.nrm1", "--out", "m.mcbn", "f.feat"],
+        "query": ["--db", "db.vhdb", "--hash", "q.vh"],
+        "hash": ["--model", "m.mcbn", "--feat", "f.feat", "--out", "q.vh"],
+        "eval": ["--model", "m.mcbn", "--stats", "s.nrm1", "--fseq-dir", ".",
+                 "--out-dir", "report"],
+        "synth": ["--out-dir", "corpus"],
+    }
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("train", "--epochs", "0"),
+        ("train", "--L", "0"),
+        ("train", "--enc-dims", "8,x,6"),
+        ("query", "--topk", "0"),
+        ("hash", "--th", "0"),
+        ("eval", "--modes", "events,foo"),
+        ("synth", "--durations", "8,x"),
+    ])
+    def test_usage_error(self, tmp_path, monkeypatch, capsys, command, flag,
+                         value):
+        monkeypatch.chdir(tmp_path)
+        assert main([command, flag, value, *self.REQUIRED[command]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: evhash {command} ")
+        assert f"argument {flag}: " in err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestMissingFiles:
+    """A missing input file is a data error: exit 2 and an ``error:``
+    line, not a traceback."""
+
+    def check(self, argv, capsys):
+        assert main([str(a) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "No such file" in err
+
+    def test_query_db(self, tmp_path, capsys):
+        vh = tmp_path / "q.vh"
+        vh.write_text(TestQueryMalformedInputs.HASH)
+        self.check(["query", "--db", tmp_path / "nope.vhdb", "--hash", vh],
+                   capsys)
+
+    def test_hash_model(self, tmp_path, capsys):
+        self.check(["hash", "--model", tmp_path / "nope.mcbn", "--feat",
+                    tmp_path / "f.feat", "--out", tmp_path / "q.vh"], capsys)
+
+    def test_db_build_hash(self, tmp_path, capsys):
+        out = tmp_path / "db.vhdb"
+        self.check(["db-build", "--out", out, tmp_path / "nope.vh"], capsys)
+        assert not out.exists()
+
+
 class TestQueryMalformedInputs:
     """``evhash query`` ends in exit code 2, not a traceback, on a corrupt
     database or hash file."""
@@ -206,6 +263,15 @@ class TestPipeline:
         argv = (["ingest", "--in", str(bad), "--out", out]
                 if command == "ingest" else ["stats", "--out", out, str(bad)])
         assert run(argv, capsys)[0] == 2
+
+    def test_hash_missing_feat_exit_2(self, pipeline, tmp_path, capsys):
+        root, data, stats, model, db, feats, hashes = pipeline
+        out = tmp_path / "q.vh"
+        assert main(["hash", "--model", str(model), "--stats", str(stats),
+                     "--feat", str(tmp_path / "nope.feat"), "--out",
+                     str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_dseries(self, pipeline, capsys):
         root, data, stats, model, db, feats, hashes = pipeline

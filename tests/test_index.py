@@ -1,5 +1,7 @@
 import struct
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,7 +160,7 @@ class TestDatabase:
         db = HashDatabase(16, "events")
         db_add(db, make_hash(rng, "a", 16, 3))
         db_add(db, make_hash(rng, "b", 16, 2))
-        db.entries["b"] = DbEntry(np.zeros((2, 3), dtype=np.uint8), 1.0)
+        db.entries["b"].packed = np.zeros((2, 3), dtype=np.uint8)
         path = tmp_path / "db.vhdb"
         with pytest.raises(ShapeMismatch):
             db_save(db, path)
@@ -220,7 +222,8 @@ class TestDatabase:
     def test_save_rejects_entry_without_events(self, tmp_path):
         db = HashDatabase(16, "events")
         db_add(db, make_hash(np.random.default_rng(12), "a", 16, 2))
-        db.entries["empty"] = DbEntry(np.zeros((0, 2), dtype=np.uint8), 1.0)
+        db_add(db, make_hash(np.random.default_rng(13), "empty", 16, 1))
+        db.entries["empty"].packed = np.zeros((0, 2), dtype=np.uint8)
         path = tmp_path / "out.vhdb"
         with pytest.raises(EmptyEntry):
             db_save(db, path)
@@ -367,34 +370,39 @@ class TestQueryTopk:
         assert len(query_topk(db, make_hash(rng, "q", 8, 2), 10)) == 1
 
 
-def _replace(entries, new):
-    entries["a03"] = new
+def _replace(db, new):
+    db.entries["a03"] = new
 
 
-def _del(entries, new):
-    del entries["a03"]
+def _setitem(db, new):
+    db.entries["c"] = new
 
 
-def _ior(entries, new):
-    entries |= {"a05": new, "c": new}
+def _del(db, new):
+    del db.entries["a03"]
 
 
-# every way to change ``db.entries`` other than adding a new id
+def _ior(db, new):
+    db.entries |= {"a05": new, "c": new}
+
+
+# every way a dict can change, applied to ``db.entries``
 MUTATORS = {
     "replace": _replace,
+    "setitem": _setitem,
     "del": _del,
-    "pop": lambda entries, new: entries.pop("a03"),
-    "popitem": lambda entries, new: entries.popitem(),
-    "clear": lambda entries, new: entries.clear(),
-    "update": lambda entries, new: entries.update({"a03": new, "c": new}),
-    "setdefault": lambda entries, new: entries.setdefault("c", new),
+    "pop": lambda db, new: db.entries.pop("a03"),
+    "popitem": lambda db, new: db.entries.popitem(),
+    "clear": lambda db, new: db.entries.clear(),
+    "update": lambda db, new: db.entries.update({"a03": new, "c": new}),
+    "setdefault": lambda db, new: db.entries.setdefault("c", new),
     "ior": _ior,
 }
 
 
 class TestScanStore:
     """query_topk keeps a scan store of the database between queries; it
-    must follow every change to ``db.entries``."""
+    must follow every add, and ``db.entries`` admits no other change."""
 
     L = 70
 
@@ -417,15 +425,23 @@ class TestScanStore:
             self.check(rng, db)
 
     def test_replaced_entry(self):
+        # an id can neither be written over nor added again; the store
+        # keeps the first entry and goes on taking adds
         rng = np.random.default_rng(21)
         db = HashDatabase(self.L, "events")
         self.fill(rng, db, "a", 8)
         self.check(rng, db)
-        db.entries["a03"] = DbEntry(
-            pack_codes(make_hash(rng, "x", self.L, 3).events), 1.0)
+        first = db.entries["a03"]
+        with pytest.raises(TypeError):
+            db.entries["a03"] = DbEntry(
+                pack_codes(make_hash(rng, "x", self.L, 3).events), 1.0)
+        with pytest.raises(DuplicateId):
+            db_add(db, make_hash(rng, "a03", self.L, 3))
+        assert db.entries["a03"] is first and len(db) == 8
         self.check(rng, db)
         self.fill(rng, db, "b", 2)
-        db.entries["a07"] = DbEntry(db.entries["a07"].packed[:1].copy(), 1.0)
+        with pytest.raises(DuplicateId):
+            db_add(db, make_hash(rng, "b01", self.L, 1))  # the last entry
         self.check(rng, db)
 
     def test_deleted_entry(self):
@@ -433,12 +449,15 @@ class TestScanStore:
         db = HashDatabase(self.L, "events")
         self.fill(rng, db, "a", 8)
         self.check(rng, db)
-        del db.entries["a02"]
+        ids = list(db.entries)
+        with pytest.raises(TypeError):
+            del db.entries["a02"]
+        with pytest.raises(TypeError):
+            del db.entries["a07"]  # the last entry
+        assert list(db.entries) == ids
         self.check(rng, db)
-        del db.entries["a07"]  # the last entry
-        self.check(rng, db)
-        del db.entries["a06"]  # and one more added in its place
         self.fill(rng, db, "b", 1)
+        assert list(db.entries) == ids + ["b00"]
         self.check(rng, db)
 
     def test_renamed_last_entry(self):
@@ -446,7 +465,15 @@ class TestScanStore:
         db = HashDatabase(self.L, "events")
         self.fill(rng, db, "a", 4)
         self.check(rng, db)
-        db.entries["0-renamed"] = db.entries.pop("a03")
+        with pytest.raises(AttributeError):
+            db.entries.pop("a03")
+        assert list(db.entries) == ["a00", "a01", "a02", "a03"]
+        self.check(rng, db)
+        # a copy under a new id is a new entry; the old one stays
+        packed = db.entries["a03"].packed
+        db_add(db, VideoHash("0-renamed", self.L, unpack_codes(packed, self.L),
+                             np.arange(1, len(packed) + 1), "events", 1.0))
+        assert list(db.entries)[-2:] == ["a03", "0-renamed"]
         self.check(rng, db)
 
     def test_two_databases_alternately(self):
@@ -457,31 +484,20 @@ class TestScanStore:
                 self.fill(rng, db, f"{j}-{step}-", j + 1)
                 self.check(rng, db)
 
-    def test_empty_entry_is_rejected(self):
-        rng = np.random.default_rng(25)
-        db = HashDatabase(self.L, "events")
-        self.fill(rng, db, "a", 3)
-        self.check(rng, db)
-        db.entries["b"] = DbEntry(np.zeros((0, 9), dtype=np.uint8), 1.0)
-        q = make_hash(rng, "q", self.L, 2)
-        with pytest.raises(EmptyEntry):
-            query_topk(db, q, 2)
-        del db.entries["b"]
-        self.check(rng, db)
-
     @pytest.mark.parametrize("mutator", MUTATORS)
     def test_mutator(self, mutator):
-        # each change is followed by an add, so that the store cannot tell
-        # it from the database's length alone
         rng = np.random.default_rng(26)
         db = HashDatabase(self.L, "events")
         self.fill(rng, db, "a", 8)
-        self.check(rng, db)
+        q = make_hash(rng, "q", self.L, 3)
+        ranking = query_topk(db, q, len(db))
+        items = list(db.entries.items())
         new = DbEntry(pack_codes(make_hash(rng, "x", self.L, 7).events), 1.0)
-        MUTATORS[mutator](db.entries, new)
-        self.fill(rng, db, "b", 1)
-        self.check(rng, db)
-        self.fill(rng, db, "d", 2)
+        with pytest.raises((TypeError, AttributeError)):
+            MUTATORS[mutator](db, new)
+        assert list(db.entries.items()) == items
+        assert query_topk(db, q, len(db)) == ranking == ranking_oracle(db, q)
+        self.fill(rng, db, "b", 2)
         self.check(rng, db)
 
     def test_entries_cannot_be_reassigned(self):
@@ -514,29 +530,24 @@ class TestScanStore:
               database=None)
     @given(L=st.sampled_from(SCAN_LS[:6]), seed=st.integers(0, 2**32 - 1),
            ops=st.lists(st.tuples(
-               st.sampled_from(("add", "replace", "delete", "rename",
-                                "query")),
+               st.sampled_from(("add", "query", "reload")),
                st.integers(0, 63), st.integers(1, 6)), max_size=25))
     def test_random_changes_rank_as_oracle(self, L, seed, ops):
+        # "reload" saves and loads the database, which later ops go on with
         rng = np.random.default_rng(seed)
         db = HashDatabase(L, "events")
-        for step, (op, pick, n) in enumerate(ops + [("query", 0, 3)]):
-            ids = list(db.entries)
-            if op == "add":
-                db_add(db, make_hash(rng, f"v{step:02d}", L, n))
-            elif op == "query" and ids:
-                q = make_hash(rng, "q", L, n)
-                k = 1 + pick % (len(ids) + 2)
-                assert query_topk(db, q, k) == ranking_oracle(db, q)[:k]
-            elif op != "query" and ids:
-                vid = ids[pick % len(ids)]
-                if op == "replace":
-                    db.entries[vid] = DbEntry(
-                        pack_codes(make_hash(rng, vid, L, n).events), 1.0)
-                elif op == "delete":
-                    del db.entries[vid]
-                else:
-                    db.entries[f"r{step:02d}"] = db.entries.pop(vid)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "db.vhdb"
+            for step, (op, pick, n) in enumerate(ops + [("query", 0, 3)]):
+                if op == "add":
+                    db_add(db, make_hash(rng, f"v{step:02d}", L, n))
+                elif op == "reload":
+                    db_save(db, path)
+                    db = db_load(path)
+                elif len(db):
+                    q = make_hash(rng, "q", L, n)
+                    k = 1 + pick % (len(db) + 2)
+                    assert query_topk(db, q, k) == ranking_oracle(db, q)[:k]
 
 
 class TestScratch:
@@ -544,11 +555,13 @@ class TestScratch:
         # about 70k L=64 events, 1 to 20 per entry
         rng = np.random.default_rng(29)
         counts = np.tile(np.arange(1, 21), 333)
-        packed = rng.integers(0, 256, size=(counts.sum(), 8), dtype=np.uint8)
+        bits = unpack_codes(rng.integers(0, 256, size=(counts.sum(), 8),
+                                         dtype=np.uint8), 64)
         db = HashDatabase(64, "events")
         for i, (a, b) in enumerate(zip(np.cumsum(counts) - counts,
                                        np.cumsum(counts))):
-            db.entries[f"v{i:05d}"] = DbEntry(packed[a:b], 1.0)
+            db_add(db, VideoHash(f"v{i:05d}", 64, bits[a:b],
+                                 np.arange(1, b - a + 1), "events", 1.0))
         q = make_hash(rng, "q", 64, 16)
         want = query_topk(db, q, 10)  # builds the scan store
         tracemalloc.start()
