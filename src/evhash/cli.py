@@ -197,6 +197,16 @@ def _positive_ints(text: str) -> list[int]:
     return [_positive_int(t) for t in text.split(",")]
 
 
+def _sample_period(text: str) -> float:
+    """--ts: a sampling period of at least one encoder step once rounded."""
+    value = float(text)  # argparse reports a ValueError as an invalid value
+    if not (np.isfinite(value) and hashing.sample_interval_steps(value) >= 1):
+        raise argparse.ArgumentTypeError(
+            f"expected a period that rounds to at least one encoder step "
+            f"({hashing.encoder_step_time(1) / 2:g} s or more), got {text!r}")
+    return value
+
+
 def _modes(text: str) -> tuple[str, ...]:
     modes = tuple(text.split(","))
     for mode in modes:
@@ -215,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, fn, help_):
         sp = sub.add_parser(name, help=help_)
-        sp.set_defaults(func=fn)
+        sp.set_defaults(func=fn, parser=sp)
         return sp
 
     sp = add("synth", cmd_synth, "generate a synthetic corpus + copy specs")
@@ -258,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--feat", required=True)
     sp.add_argument("--out", dest="outfile", required=True)
     sp.add_argument("--mode", choices=hashing.MODES, default="events")
-    sp.add_argument("--ts", type=float, default=4.0)
+    sp.add_argument("--ts", type=_sample_period, default=4.0)
     sp.add_argument("--th", type=_positive_int, default=16)
     sp.add_argument("--duration", type=float,
                     help="true duration in seconds (default: 2*M/25)")
@@ -284,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--fseq-dir", required=True)
     sp.add_argument("--copies", help="copies.csv (default: enumerate all)")
     sp.add_argument("--out-dir", required=True)
-    sp.add_argument("--ts", type=float, default=4.0)
+    sp.add_argument("--ts", type=_sample_period, default=4.0)
     sp.add_argument("--th", type=_positive_int, default=16)
     sp.add_argument("--modes", type=_modes,
                     default="events,sample,sample_and_events")
@@ -303,6 +313,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "train" and args.th > args.L:
+            args.parser.error(f"argument --th: must not exceed --L "
+                              f"({args.L}), got {args.th}")
     except SystemExit as e:
         return 0 if e.code == 0 else 1
     try:

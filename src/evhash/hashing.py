@@ -157,6 +157,8 @@ def hash_video(codes: EncodeResult, mode: str, cfg: EventDetectConfig,
                duration_seconds: float | None = None) -> VideoHash:
     """Extract the variable-length hash of one encoded video.
 
+    The sample modes need a period ``T_s`` of at least one encoder step
+    once rounded (0.16 s at 25 fps); a shorter one raises BadRange.
     ``duration_seconds`` defaults to the span of the encoder steps; pass
     the true duration when it is known (it feeds hash-rate reporting,
     not retrieval).
@@ -167,13 +169,18 @@ def hash_video(codes: EncodeResult, mode: str, cfg: EventDetectConfig,
         raise ValueError(f"unknown hash mode {mode!r}")
     if duration_seconds is None:
         duration_seconds = encoder_step_time(codes.M_e)
+    if mode != "events":
+        delta = sample_interval_steps(T_s)
+        if delta < 1:
+            raise BadRange(f"sampling period {T_s} s rounds to {delta} "
+                           f"encoder steps, needs at least 1")
     if mode == "events":
         ends = detect_event_ends(codes.d_series, cfg, codes.M_e)
     elif mode == "sample":
-        ends = _sample_ends(codes.M_e, sample_interval_steps(T_s))
+        ends = _sample_ends(codes.M_e, delta)
     else:
         ends = _densify(detect_event_ends(codes.d_series, cfg, codes.M_e),
-                        sample_interval_steps(T_s))
+                        delta)
     pooled = []
     prev = 0
     for e in ends:
@@ -207,8 +214,13 @@ def write_d_series_csv(codes: EncodeResult, path,
 # -- debug text form -------------------------------------------------------
 
 
-def _pack_bits(bits: np.ndarray) -> np.ndarray:
-    return np.packbits(bits, axis=-1, bitorder="little")
+def pack_codes(bits: np.ndarray) -> np.ndarray:
+    """(E, L) {0,1} -> (E, ceil(L/8)) packed bytes, LSB first."""
+    return np.packbits(bits.astype(np.uint8), axis=-1, bitorder="little")
+
+
+def unpack_codes(packed: np.ndarray, L: int) -> np.ndarray:
+    return np.unpackbits(packed, axis=-1, bitorder="little", count=L)
 
 
 def write_video_hash(vh: VideoHash, path) -> None:
@@ -216,7 +228,7 @@ def write_video_hash(vh: VideoHash, path) -> None:
     with open(path, "w") as f:
         f.write(f"# evhash-vh 1 mode={vh.mode} L={vh.L} "
                 f"duration={vh.duration_seconds!r} id={vh.video_id}\n")
-        for end, row in zip(vh.end_steps, _pack_bits(vh.events)):
+        for end, row in zip(vh.end_steps, pack_codes(vh.events)):
             f.write(f"{end} {bytes(row).hex()}\n")
 
 
@@ -266,9 +278,8 @@ def load_video_hash(path) -> VideoHash:
         packed.append(code)
     if not packed:
         raise EmptyCodes(f"{path}: hash has no events")
-    events = np.unpackbits(np.frombuffer(b"".join(packed), np.uint8)
-                           .reshape(len(packed), nbytes),
-                           axis=1, bitorder="little", count=L)
+    events = unpack_codes(np.frombuffer(b"".join(packed), np.uint8)
+                          .reshape(len(packed), nbytes), L)
     return VideoHash(video_id=video_id, L=L, events=events,
                      end_steps=np.asarray(ends, dtype=np.int64),
                      mode=mode, duration_seconds=duration)

@@ -58,16 +58,8 @@ from .errors import (
     ShapeMismatch,
     UnsupportedVersion,
 )
-from .hashing import MODES, VideoHash
-
-
-def pack_codes(bits: np.ndarray) -> np.ndarray:
-    """(E, L) {0,1} -> (E, ceil(L/8)) packed bytes, LSB first."""
-    return np.packbits(bits.astype(np.uint8), axis=-1, bitorder="little")
-
-
-def unpack_codes(packed: np.ndarray, L: int) -> np.ndarray:
-    return np.unpackbits(packed, axis=-1, bitorder="little", count=L)
+from .hashing import MODES, VideoHash, pack_codes
+from .hashing import unpack_codes  # noqa: F401 (part of this module's API)
 
 
 # Equality is identity: a field-wise comparison of the arrays would have no

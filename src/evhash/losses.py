@@ -24,8 +24,8 @@ from .errors import (
     ShapeMismatch,
 )
 from .ingest import FeatureSequence
-from .model import (Autoencoder, forward_batch_train, prepare_inputs,
-                    save_model)
+from .model import (Autoencoder, _adjacent_hamming, forward_batch_train,
+                    prepare_inputs, save_model)
 from .numerics import AdamConfig, adam_step
 
 
@@ -200,8 +200,7 @@ def batch_loss(model: Autoencoder, seqs: list[FeatureSequence], th: int,
         rows = fwd.enc.item_rows(i)
         codes = ad.gather_rows(fwd.codes, rows)
         codes_items.append(codes)
-        code_bits = (val(codes) > 0)
-        d_series = (code_bits[1:] != code_bits[:-1]).sum(axis=1)
+        d_series = _adjacent_hamming(val(codes) > 0)
         g = ad.gather_rows(fwd.gates, rows)
         gates = tuple(ad.slice_cols(g, j * L, (j + 1) * L) for j in range(3))
         ml = memory_loss(gates, d_series, th, L)

@@ -33,9 +33,9 @@ Checkpoint format MCBN, read with :class:`evhash.binfile.Reader`
 per layer: d_x u32, d_h u32 (not 0), the float32 tensors W_h, W_x, b,
 gamma_h, gamma_x, gamma_c, beta_c, h0, c0, and the three statistic
 sites (recurrent, input, cell), each as max_train_timestep u32 followed
-per timestep by a mean vector then a variance vector (float32). After
-the layers: D u32, L u32, momentum f32, eps f32, max train input length
-u32.
+per timestep by a mean vector then a variance vector (float32): the
+site's ``BNSiteStats.stats`` array, row by row. After the layers: D u32,
+L u32, momentum f32, eps f32, max train input length u32.
 """
 
 from __future__ import annotations
@@ -292,19 +292,6 @@ def _gate_affine(d, dtype):
     return scale, shift
 
 
-def _running_stats(site: BNSiteStats, steps: int):
-    """(means, 1 / sqrt(var + eps)) of a site at steps 1..last, one row
-    per step, last = min(steps, max_train_timestep); later steps reuse
-    the last row. A site never trained gives one row of (0, 1)."""
-    last = min(steps, site.max_train_timestep)
-    if last:
-        mean, var = np.array(site.means[:last]), np.array(site.vars[:last])
-    else:
-        mean = np.zeros((1, site.dim), site.dtype)
-        var = np.ones((1, site.dim), site.dtype)
-    return mean, 1.0 / np.sqrt(var + site.eps)
-
-
 def _bnlstm_running(cell: BNLSTMCell, xv, lay: Layout, want_gates):
     """:func:`bnlstm_layer` with running statistics, on plain arrays.
 
@@ -318,8 +305,9 @@ def _bnlstm_running(cell: BNLSTMCell, xv, lay: Layout, want_gates):
     previous step's rows of H and C.
     """
     d, n, dt = cell.d_h, lay.rows, xv.dtype
-    (m_a, inv_a), (m_u, inv_u), (m_c, inv_c) = (
-        _running_stats(site, len(lay.counts)) for site in cell.sites())
+    (m_a, inv_a), (m_u, inv_u), (m_c, inv_c) = (  # one row per step
+        (mean, 1.0 / np.sqrt(var + site.eps)) for site in cell.sites()
+        for mean, var in [site.running(len(lay.counts))])
     scale, shift = _gate_affine(d, dt)
     A = inv_a * (cell.gamma_h.value * scale)
     c_scale = inv_c * cell.gamma_c.value
@@ -392,6 +380,7 @@ def bnlstm_layer(cell: BNLSTMCell, X, lay: Layout, stats="train",
     steps, b1 = len(lay.counts), int(lay.counts[0])
     bounds = [(int(lay.offsets[t]), int(lay.counts[t])) for t in range(steps)]
     ws = _claim_workspace(cell)
+    ea, eu, ec = (site.eps for site in cell.sites())
     XA = ws.take("xa", (n, 4 * d), dt)    # normalized recurrent term
     XU = ws.take("xu", (n, 4 * d), dt)    # normalized input term
     ACT = ws.take("act", (n, 4 * d), dt)  # f, i, tanh(g), o
@@ -404,11 +393,14 @@ def bnlstm_layer(cell: BNLSTMCell, X, lay: Layout, stats="train",
     S = ws.take("s", (b1, 4 * d), dt)
     C = ws.take("c", (b1, d), dt)
     Q = ws.take("q", (b1, d), dt)
-    # before the temporary W_h.T copy: arrays the backward keeps, allocated
+    # before the temporary W_h.T copy: arrays that outlive it, allocated
     # after it, pin its freed heap pages (+11 MB peak RSS in c10's step)
     inv_a = np.empty((steps, 4 * d), dt)
     inv_u = np.empty((steps, 4 * d), dt)
     inv_c = np.empty((steps, d), dt)
+    mv_a = np.empty((steps, 2, 4 * d), dt)  # batch (mean, var) per step
+    mv_u = np.empty((steps, 2, 4 * d), dt)
+    mv_c = np.empty((steps, 2, d), dt)
 
     W_h, W_x = cell.W_h.value, cell.W_x.value
     W_hT = np.ascontiguousarray(W_h.T)
@@ -423,8 +415,8 @@ def bnlstm_layer(cell: BNLSTMCell, X, lay: Layout, stats="train",
         xa, xu, act, c, xc = XA[r], XU[r], ACT[r], C[:B], XC[r]
         np.copyto(xa, np.matmul(W_hT, HP[r].T,
                                 out=flat[:4 * d * B].reshape(4 * d, B)).T)
-        _, mu_a, var_a, inv_a[t] = bn_normalize(xa, cell.site_h.eps, out=xa)
-        _, mu_u, var_u, inv_u[t] = bn_normalize(xu, cell.site_x.eps, out=xu)
+        _, mv_a[t, 0], mv_a[t, 1], inv_a[t] = bn_normalize(xa, ea, out=xa)
+        _, mv_u[t, 0], mv_u[t, 1], inv_u[t] = bn_normalize(xu, eu, out=xu)
         np.multiply(xa, gh_s, out=act)
         act += np.multiply(xu, gx_s, out=S[:B])
         act += b_s
@@ -433,24 +425,22 @@ def bnlstm_layer(cell: BNLSTMCell, X, lay: Layout, stats="train",
         act += shift
         np.multiply(act[:, :d], CP[r], out=c)
         c += np.multiply(act[:, d:2 * d], act[:, 2 * d:3 * d], out=Q[:B])
-        _, mu_c, var_c, inv_c[t] = bn_normalize(c, cell.site_c.eps, out=xc)
+        _, mv_c[t, 0], mv_c[t, 1], inv_c[t] = bn_normalize(c, ec, out=xc)
         tc = np.multiply(xc, gc, out=TC[r])
         tc += cell.beta_c.value
         np.tanh(tc, out=tc)
         np.multiply(act[:, 3 * d:], tc, out=H[r])
-        if stats == "train":
-            cell.site_h.update(t + 1, mu_a, var_a)
-            cell.site_x.update(t + 1, mu_u, var_u)
-            cell.site_c.update(t + 1, mu_c, var_c)
         if t + 1 < steps:
             nb = bounds[t + 1][1]
             HP[r.stop:r.stop + nb] = H[r][:nb]
             CP[r.stop:r.stop + nb] = c[:nb]
+    if stats == "train":
+        for site, block in zip(cell.sites(), (mv_a, mv_u, mv_c)):
+            site.update(1, block)
 
     G = np.concatenate((ACT[:, :2 * d], ACT[:, 3 * d:]), axis=1) \
         if want_gates else None
-    params = [cell.W_h, cell.W_x, cell.b, cell.gamma_h, cell.gamma_x,
-              cell.gamma_c, cell.beta_c, cell.h0, cell.c0]
+    params = cell.parameters()
     gate_grad = []
 
     def bwd(dH):
@@ -695,13 +685,6 @@ _MCBN_HEADER = struct.Struct("<4sBB")
 _MCBN_META = struct.Struct("<IIffI")
 
 
-def _write_site(f, site: BNSiteStats):
-    f.write(struct.pack("<I", site.max_train_timestep))
-    for mean, var in zip(site.means, site.vars):
-        f.write(mean.astype("<f4").tobytes())
-        f.write(var.astype("<f4").tobytes())
-
-
 def save_model(model: Autoencoder, path) -> None:
     with open(path, "wb") as f:
         f.write(_MCBN_HEADER.pack(b"MCBN", 1, len(model.cells)))
@@ -710,7 +693,8 @@ def save_model(model: Autoencoder, path) -> None:
             for p in cell.parameters():
                 f.write(p.value.astype("<f4").tobytes())
             for site in cell.sites():
-                _write_site(f, site)
+                f.write(struct.pack("<I", site.max_train_timestep))
+                f.write(site.stats.astype("<f4").tobytes())
         f.write(_MCBN_META.pack(model.D, model.L, model.momentum,
                                 model.eps, model.max_input_len))
 
@@ -762,7 +746,7 @@ def load_model(path, dtype=np.float64) -> Autoencoder:
         tag = f"enc{i + 1}" if i < 4 else f"dec{i - 3}"
         cell = BNLSTMCell(values, momentum, eps, tag)
         for site, stats in zip(cell.sites(), sites):
-            site.means, site.vars = list(stats[:, 0]), list(stats[:, 1])
+            site.stats = stats
         cells.append(cell)
     model = Autoencoder(D, L, cells[:4], cells[4:], momentum, eps, dtype)
     model.max_input_len = max_len

@@ -26,40 +26,49 @@ class Parameter(ad.Leaf):
 class BNSiteStats:
     """Running normalization statistics, kept per timestep.
 
-    Timesteps are 1-based. Statistics exist for 1..max_train_timestep and
-    are extended on the fly during training; inference at a later timestep
-    reuses the statistics of the largest trained one. A site that was
-    never trained normalizes with (mean 0, variance 1), its initial state.
+    ``stats`` is (T, 2, dim): the mean, then the variance, of each 1-based
+    timestep 1..T (T = max_train_timestep), extended on the fly during
+    training. Inference at a later timestep reuses step T's statistics; a
+    site never trained normalizes with (mean 0, variance 1).
     """
+
+    __slots__ = ("dim", "momentum", "eps", "stats")
 
     def __init__(self, dim, momentum=0.1, eps=1e-5, dtype=np.float64):
         self.dim = int(dim)
         self.momentum = float(momentum)
         self.eps = float(eps)
-        self.dtype = np.dtype(dtype)
-        self.means: list[np.ndarray] = []
-        self.vars: list[np.ndarray] = []
+        self.stats = np.empty((0, 2, self.dim), dtype)
 
     @property
     def max_train_timestep(self) -> int:
-        return len(self.means)
+        return len(self.stats)
+
+    def _initial(self, n: int) -> np.ndarray:
+        """n rows of the untrained statistics (mean 0, variance 1)."""
+        return np.tile(np.array([[0.0], [1.0]], self.stats.dtype),
+                       (n, 1, self.dim))
+
+    def running(self, steps: int):
+        """(means, vars), one row per step 1..min(steps, T); a site never
+        trained gives one row of (0, 1)."""
+        rows = self.stats[:steps] if len(self.stats) else self._initial(1)
+        return rows[:, 0], rows[:, 1]
 
     def stats_for(self, t: int):
         """(mean, var) used in inference at timestep t."""
-        if not self.means:
-            z = np.zeros(self.dim, dtype=self.dtype)
-            return z, np.ones(self.dim, dtype=self.dtype)
-        i = min(t, len(self.means)) - 1
-        return self.means[i], self.vars[i]
+        mean, var = self.running(t)
+        return mean[-1], var[-1]
 
-    def update(self, t: int, batch_mean, batch_var):
-        while len(self.means) < t:
-            self.means.append(np.zeros(self.dim, dtype=self.dtype))
-            self.vars.append(np.ones(self.dim, dtype=self.dtype))
-        m = self.momentum
-        i = t - 1
-        self.means[i] = (1.0 - m) * self.means[i] + m * batch_mean
-        self.vars[i] = (1.0 - m) * self.vars[i] + m * batch_var
+    def update(self, t: int, block):
+        """Momentum-blend an (n, 2, dim) block of batch (mean, var) rows
+        into steps t..t+n-1, first extending the site with (0, 1) rows."""
+        end = t - 1 + len(block)
+        if end > len(self.stats):
+            self.stats = np.concatenate(
+                (self.stats, self._initial(end - len(self.stats))))
+        run, m = self.stats[t - 1:end], self.momentum
+        run[...] = (1.0 - m) * run + m * block
 
 
 class AdamConfig:
@@ -150,7 +159,7 @@ def bn_transform(h, gamma, beta, stats: BNSiteStats, t: int, mode: str,
 
     xhat, mu, var, inv = bn_normalize(hv, stats.eps)
     if update_stats:
-        stats.update(t, mu, var)
+        stats.update(t, np.stack((mu, var))[None])
     out_v = gv * xhat
     if bv is not None:
         out_v = out_v + bv
@@ -215,18 +224,25 @@ def sgn_surrogate(h):
 
 
 def adam_step(params, cfg: AdamConfig):
-    """Bias-corrected Adam update, in place. Gradients are zeroed after."""
+    """Bias-corrected Adam update, in place; gradients are zeroed after. A
+    gradient that is not finite or overflows when squared (an infinite v
+    would freeze its coordinates) raises before its parameter changes."""
     cfg.step += 1
     c1 = 1.0 - cfg.beta1 ** cfg.step
     c2 = 1.0 - cfg.beta2 ** cfg.step
     for p in params:
         g = p.grad
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradient(f"non-finite gradient in {p.name!r}")
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            g2 = g * g
+        if not np.all(np.isfinite(g2)):
+            raise NonFiniteGradient(f"gradient of {p.name!r} is not finite "
+                                    f"or overflows when squared")
         p.m *= cfg.beta1
         p.m += (1.0 - cfg.beta1) * g
         p.v *= cfg.beta2
-        p.v += (1.0 - cfg.beta2) * (g * g)
+        g2 *= 1.0 - cfg.beta2
+        p.v += g2
+        del g2  # one parameter's size, not to be held through the update
         p.value -= cfg.lr * (p.m / c1) / (np.sqrt(p.v / c2) + cfg.eps_hat)
         g[...] = 0.0
 

@@ -68,8 +68,8 @@ def bn2_add(a, b, gamma_a, gamma_b, bias,
     xa, mu_a, var_a, inv_a = bn_normalize(av, stats_a.eps)
     xb, mu_b, var_b, inv_b = bn_normalize(bv, stats_b.eps)
     if update_stats:
-        stats_a.update(t, mu_a, var_a)
-        stats_b.update(t, mu_b, var_b)
+        stats_a.update(t, np.stack((mu_a, var_a))[None])
+        stats_b.update(t, np.stack((mu_b, var_b))[None])
     out_v = ga * xa
     out_v += gb * xb
     out_v += bias_v

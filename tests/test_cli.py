@@ -69,13 +69,26 @@ class TestBadValues:
         ("train", "--enc-dims", "8,x,6"),
         ("query", "--topk", "0"),
         ("hash", "--th", "0"),
+        # sampling periods that round to fewer than one encoder step
+        ("hash", "--ts", "0"),
+        ("hash", "--ts", "-1"),
+        ("eval", "--ts", "0.159"),
         ("eval", "--modes", "events,foo"),
         ("synth", "--durations", "8,x"),
     ])
     def test_usage_error(self, tmp_path, monkeypatch, capsys, command, flag,
                          value):
+        self.check(tmp_path, monkeypatch, capsys, command, flag, [value])
+
+    def test_train_threshold_above_code_length(self, tmp_path, monkeypatch,
+                                               capsys):
+        # the gate loss splits transitions at d_t >= th, and d_t <= L
+        self.check(tmp_path, monkeypatch, capsys, "train", "--th",
+                   ["9", "--L", "8"])
+
+    def check(self, tmp_path, monkeypatch, capsys, command, flag, values):
         monkeypatch.chdir(tmp_path)
-        assert main([command, flag, value, *self.REQUIRED[command]]) == 1
+        assert main([command, flag, *values, *self.REQUIRED[command]]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"usage: evhash {command} ")
         assert f"argument {flag}: " in err

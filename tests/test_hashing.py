@@ -136,6 +136,14 @@ class TestHashVideo:
         vh = hash_video(res, "sample_and_events", CFG, T_s=4.0, video_id="v")
         np.testing.assert_array_equal(vh.end_steps, [13, 26])
 
+    @pytest.mark.parametrize("mode", ["sample", "sample_and_events"])
+    @pytest.mark.parametrize("T_s", [0.159, 0.0, -1.0])
+    def test_sampling_period_under_one_step(self, mode, T_s):
+        res = make_result(np.zeros((12, 8)))
+        with pytest.raises(BadRange):
+            hash_video(res, mode, CFG, T_s=T_s)
+        assert hash_video(res, mode, CFG, T_s=0.16).E == 12
+
     def test_events_mode_constant(self):
         res = make_result(np.zeros((12, 8)))
         vh = hash_video(res, "events", CFG)

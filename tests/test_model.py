@@ -41,8 +41,7 @@ def freeze_to_plain_lstm(model):
         cell.beta_c.value[...] = 0.0
         for site in cell.sites():
             site.eps = 0.0
-            site.means = []
-            site.vars = []
+            site.stats = site.stats[:0]
 
 
 def plain_lstm_layer(cell, X):
@@ -306,6 +305,26 @@ class TestCheckpoint:
         got = encode(rand_seq(rng, 11, 6), back)
         assert got.codes.shape == (3, 4)
 
+    def test_roundtrip_keeps_an_untrained_site(self, tmp_path):
+        rng = np.random.default_rng(19)
+        model = build_model(D=6, L=4, encoder_dims=(5, 4, 3), seed=18,
+                            dtype=np.float32)
+        M.forward_batch_train([rand_seq(rng, 9, 6, "a"),
+                               rand_seq(rng, 7, 6, "b")], model)
+        untrained = model.decoder[1].site_c
+        untrained.stats = untrained.stats[:0]
+        p1, p2 = tmp_path / "m1.mcbn", tmp_path / "m2.mcbn"
+        save_model(model, p1)
+        back = load_model(p1, dtype=np.float32)
+        save_model(back, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+        site = back.decoder[1].site_c
+        assert site.stats.shape == (0, 2, site.dim)
+        assert site.stats.dtype == np.float32
+        for a, b in zip(model.cells, back.cells):
+            for x, y in zip(a.sites(), b.sites()):
+                np.testing.assert_array_equal(x.stats, y.stats)
+
     @pytest.fixture
     def saved(self, tmp_path):
         model = build_model(D=6, L=4, encoder_dims=(5, 4, 3), seed=18)
@@ -460,17 +479,27 @@ class TestFusedLayer:
         np.testing.assert_allclose(ad.val(g), want_g, rtol=0, atol=1e-12)
         for fused, step in zip(self.cell.sites(), twin.sites()):
             assert fused.max_train_timestep == step.max_train_timestep == 13
-            for a, b in zip(fused.means + fused.vars, step.means + step.vars):
-                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(fused.stats, step.stats, rtol=0,
+                                       atol=1e-12)
+
+    def test_batch_statistics_leave_running_ones_alone(self):
+        M.bnlstm_layer(self.cell, self.x, self.lay)  # 13 trained steps
+        before = [site.stats.copy() for site in self.cell.sites()]
+        longer = M.Layout([20, 16])
+        x = np.random.default_rng(23).normal(size=(longer.rows, 5))
+        M.bnlstm_layer(self.cell, x, longer, stats="batch")
+        for site, stats in zip(self.cell.sites(), before):
+            assert site.stats.shape == stats.shape
+            assert site.stats.tobytes() == stats.tobytes()
 
     def test_running_stats_match_per_step_infer(self):
         # running statistics away from (0, 1) for steps 1..8 only, so
         # steps 9..13 reuse step 8's
         rng = np.random.default_rng(22)
         for site in self.cell.sites():
-            site.means = [rng.normal(size=site.dim) for _ in range(8)]
-            site.vars = [rng.uniform(0.3, 3.0, size=site.dim)
-                         for _ in range(8)]
+            site.stats = np.stack((rng.normal(size=(8, site.dim)),
+                                   rng.uniform(0.3, 3.0, size=(8, site.dim))),
+                                  axis=1)
         h, g = M.bnlstm_layer(self.cell, self.x, self.lay, stats="running",
                               want_gates=True)
         assert type(h) is np.ndarray and type(g) is np.ndarray

@@ -40,8 +40,7 @@ class TestBNTransform:
         h = np.array([[2.0], [4.0]])
         bn_transform(h, np.ones(1), None, stats, 1, "train")
         # init (0, 1) blended half-and-half with batch (3, 1)
-        np.testing.assert_allclose(stats.means[0], [1.5])
-        np.testing.assert_allclose(stats.vars[0], [1.0])
+        np.testing.assert_allclose(stats.stats, [[[1.5], [1.0]]])
         assert stats.max_train_timestep == 1
         m5, v5 = stats.stats_for(5)  # clamps to the largest trained step
         np.testing.assert_allclose(m5, [1.5])
@@ -67,6 +66,38 @@ class TestBNTransform:
             return ad.wsum(ad.square(out), w)
 
         assert grad_check(loss, [gamma, beta], h=1e-6) < 1e-7
+
+
+class TestBNSiteStats:
+    def test_longer_block_extends_from_initial_rows(self):
+        rng = np.random.default_rng(8)
+        site = BNSiteStats(3, momentum=0.25)
+        site.update(1, rng.uniform(0.5, 2.0, size=(13, 2, 3)))
+        before = site.stats.copy()
+        block = rng.uniform(0.5, 2.0, size=(20, 2, 3))
+        site.update(1, block)
+        initial = np.broadcast_to(np.array([[0.0], [1.0]]), (7, 2, 3))
+        assert site.max_train_timestep == 20
+        np.testing.assert_array_equal(site.stats[:13],
+                                      0.75 * before + 0.25 * block[:13])
+        np.testing.assert_array_equal(site.stats[13:],
+                                      0.75 * initial + 0.25 * block[13:])
+
+    def test_running_rows_and_untrained_default(self):
+        site = BNSiteStats(2, dtype=np.float32)
+        mean, var = site.running(5)
+        np.testing.assert_array_equal(mean, [[0.0, 0.0]])
+        np.testing.assert_array_equal(var, [[1.0, 1.0]])
+        assert mean.dtype == np.float32
+        site.update(2, np.ones((2, 2, 2), np.float32))
+        mean, var = site.running(5)  # steps 1..3 exist
+        assert mean.shape == var.shape == (3, 2)
+        np.testing.assert_array_equal(site.running(2)[0], mean[:2])
+
+    def test_no_attributes_beyond_stats(self):
+        site = BNSiteStats(2)
+        with pytest.raises(AttributeError):
+            site.means = []
 
 
 class TestSgnSte:
@@ -126,6 +157,21 @@ class TestAdam:
         p.grad[:] = [np.nan, 0.0]
         with pytest.raises(NonFiniteGradient):
             adam_step([p], AdamConfig())
+
+    def test_overflowing_square_leaves_parameter_untouched(self):
+        # 1e20 is finite in float32 but its square is not: Adam would
+        # store v = inf and that coordinate would never move again
+        p = Parameter(np.array([0.5, -0.25], np.float32), "p")
+        cfg = AdamConfig(lr=0.1)
+        p.grad[:] = [0.1, 0.2]
+        adam_step([p], cfg)
+        state = [a.copy() for a in (p.value, p.m, p.v)]
+        p.grad[:] = [1e20, 0.0]
+        with np.errstate(over="raise"):
+            with pytest.raises(NonFiniteGradient, match="'p'"):
+                adam_step([p], cfg)
+        for before, after in zip(state, (p.value, p.m, p.v)):
+            np.testing.assert_array_equal(after, before)
 
 
 class TestGradCheck:
