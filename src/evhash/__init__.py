@@ -9,6 +9,7 @@ from .ingest import (
     FrameSequence,
     NormStats,
     compute_norm_stats,
+    crop_rows,
     dct_features,
     downscale_gray64,
     drop_alternate,
@@ -29,6 +30,7 @@ from .model import (
     build_model,
     decode,
     encode,
+    encode_batch,
     encoder_len,
     forward,
     load_model,

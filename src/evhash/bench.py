@@ -1,16 +1,19 @@
 """Synthetic benchmark: procedural videos, time-cropped copies, and the
 retrieval evaluation (top-k accuracy plus hash-rate buckets).
 
-The evaluation ingests each source once, for its database entry. A copy
-reuses its source's normalized feature rows when every kept frame of the
-crop is a kept frame of the source, as for a copy that starts on an even
-second; any other copy (an odd start, which a ``copies.csv`` may give) is
-ingested again from its frames. The rows are the same either way.
+The evaluation ingests and encodes each source once, for its database
+entry. A copy that starts on an even second reuses its source's
+normalized feature rows, and such copies are encoded together, each
+crop once, in the packed passes of ``encode_batch`` (see ``run_eval``).
+Any other copy (an odd start, which a ``copies.csv`` may give) is
+ingested and encoded again from its frames. The rows and codes are the
+same either way.
 """
 
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -29,11 +32,13 @@ from .ingest import (
     FeatureSequence,
     FrameSequence,
     NormStats,
+    crop_rows,
     extract_features,
     kept_frame_index,
     normalize,
 )
-from .model import Autoencoder, encode
+from . import model as model_mod
+from .model import Autoencoder, encode, encode_batch
 
 BUCKET_EDGES = (10, 15, 20, 25, 30, 35, 40, 45, 50)
 BUCKET_LABELS = ("<10", "10-15", "15-20", "20-25", "25-30",
@@ -227,13 +232,21 @@ def run_eval(videos: list[FrameSequence], video_ids: list[str],
     """Hash the given videos into per-mode databases, query every copy,
     and aggregate top-k accuracies plus per-duration-bucket AHL/top-5.
 
-    Each source is ingested once, for the database. For a source that has
-    copies, its kept-frame index and normalized rows are kept until the
-    end of the call: one float64 row (8 KB) per kept frame, about the size
-    of the source's 64x64 frames. A copy whose kept frames are all kept
-    frames of its source (as for a copy that starts on an even second)
-    takes those rows; any other copy is ingested again from its cropped frames.
-    Either way the rows equal ``normalize(extract_features(crop))``.
+    Each source is ingested and encoded once, for the database. For a
+    source that has copies, its kept-frame index and normalized rows are
+    kept until the end of the call: one float64 row (8 KB) per kept
+    frame, about the size of the source's 64x64 frames. A copy whose kept
+    frames are a run of its source's (as for a copy that starts on an
+    even second) takes those rows; any other copy is ingested again from
+    its cropped frames. Either way the rows equal
+    ``normalize(extract_features(crop))``.
+
+    Codes are cached per crop, the key (source, start, T_c), until the
+    last query of that key. A query whose key is not cached encodes it,
+    and if it reuses rows, the keys of the following reusing copies too,
+    in query order, until their rows would pass ``model._ENCODE_ROWS``:
+    one ``encode_batch`` that gathers the source rows straight into its
+    packed array. Each query still starts with its ``crop_frames`` call.
 
     The restricted variants keep only copies whose slide is an even
     number of seconds but not a multiple of four.
@@ -266,20 +279,52 @@ def run_eval(videos: list[FrameSequence], video_ids: list[str],
             db_add(dbs[mode], vh)
             db_hashes[mode][vid] = vh
 
+    def key(spec):
+        return spec.source_id, spec.start, spec.T_c
+
+    def reused_rows(qi):
+        """Copy qi's features as a view of its source's rows, or None."""
+        spec = copies[qi]
+        source = by_id[spec.source_id]
+        keep, rows = source_rows[spec.source_id]
+        at = crop_rows(keep, *spec.frame_range(source), source.fps)
+        return None if at is None else FeatureSequence(
+            f"{spec.source_id}:q{qi}", rows[at], normalized=True)
+
+    def encode_ahead(qi, feats):
+        """Encode copy qi's reused rows and those of the following copies
+        that reuse rows, each key once, until the rows would pass the
+        cap."""
+        batch, rows = {key(copies[qi]): feats}, feats.M
+        for qj in range(qi + 1, len(copies)):
+            kj = key(copies[qj])
+            feats = None if kj in encoded or kj in batch else reused_rows(qj)
+            if feats is None:
+                continue
+            if rows + feats.M > model_mod._ENCODE_ROWS:
+                break
+            batch[kj] = feats
+            rows += feats.M
+        encoded.update(zip(batch, encode_batch(list(batch.values()), model)))
+
+    uses = Counter(map(key, copies))
+    encoded = {}  # key -> EncodeResult, dropped after the key's last use
     results = {mode: [] for mode in modes}  # (source id, ranked ids)
     for qi, spec in enumerate(copies):
         qid = f"{spec.source_id}:q{qi}"
-        source = by_id[spec.source_id]
-        crop = crop_frames(source, spec)
-        # the crop's kept frames, numbered as frames of the source
-        want = kept_frame_index(crop) + spec.frame_range(source)[0]
-        keep, rows = source_rows[spec.source_id]
-        at = np.searchsorted(keep, want)
-        if at[-1] < len(keep) and np.array_equal(keep[at], want):
-            feats = FeatureSequence(qid, rows[at], normalized=True)
-        else:
-            feats = normalize(extract_features(crop, qid), stats)
-        enc = encode(feats, model)
+        crop = crop_frames(by_id[spec.source_id], spec)
+        k = key(spec)
+        if k not in encoded:
+            feats = reused_rows(qi)
+            if feats is None:
+                encoded[k] = encode(
+                    normalize(extract_features(crop, qid), stats), model)
+            else:
+                encode_ahead(qi, feats)
+        enc = encoded[k]
+        uses[k] -= 1
+        if not uses[k]:
+            del encoded[k]
         for mode in modes:
             vh = hash_video(enc, mode, detect_cfg, T_s, qid, float(spec.T_c))
             ranked = [vid for vid, _ in query_topk(dbs[mode], vh, k_max)]

@@ -18,6 +18,7 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     BadRange,
@@ -65,6 +66,10 @@ class VideoHash:
         if self.events.ndim != 2 or self.events.shape[1] != self.L:
             raise ShapeMismatch(f"{self.video_id}: events {self.events.shape}"
                                 f", L={self.L} needs {self.L} columns")
+        if np.ndim(self.end_steps) != 1 or len(self.end_steps) != self.E:
+            raise LengthMismatch(f"{self.video_id}: {self.E} events need "
+                                 f"{self.E} end steps, got "
+                                 f"{np.shape(self.end_steps)}")
         if np.any(np.diff(self.end_steps) <= 0):
             raise BadRange(f"{self.video_id}: event ends must increase")
 
@@ -89,18 +94,17 @@ def detect_event_ends(d_series, cfg: EventDetectConfig, M_e: int) -> list[int]:
     if d_series.shape[0] != max(M_e - 1, 0):
         raise LengthMismatch(
             f"{M_e} steps need {M_e - 1} distances, got {d_series.shape[0]}")
+    # d_series[i] is step t = i + 1; steps past M_e - min_event_len never end
+    d = d_series[:max(M_e - cfg.min_event_len, 0)]
+    w = cfg.window
+    hit = d >= cfg.hard_threshold
+    if len(d) > w:
+        local = sliding_window_view(d[:-1], w).mean(axis=1)
+        hit[w:] |= d[w:] > cfg.multiplier * local
     ends = []
     prev = 0
-    w = cfg.window
-    for t in range(1, M_e):
-        if M_e - t < cfg.min_event_len:
-            break
-        d = d_series[t - 1]
-        hit = d >= cfg.hard_threshold
-        if not hit and t - 1 >= w:
-            local = d_series[t - 1 - w:t - 1].mean()
-            hit = d > cfg.multiplier * local
-        if hit and t - prev >= cfg.min_event_len:
+    for t in (np.flatnonzero(hit) + 1).tolist():
+        if t - prev >= cfg.min_event_len:
             ends.append(t)
             prev = t
     ends.append(M_e)

@@ -292,6 +292,20 @@ def kept_frame_index(seq: FrameSequence) -> np.ndarray:
     return _resample_index(len(seq.frames), seq.fps)[::2]
 
 
+def crop_rows(keep: np.ndarray, f0: int, f1: int, fps) -> slice | None:
+    """The feature rows that frames [f0, f1) of a sequence at ``fps`` share
+    with the whole sequence, whose ``kept_frame_index`` is ``keep``.
+
+    Returns the slice of the sequence's ``extract_features`` rows that
+    equals ``extract_features`` of the cropped frames alone, or None when
+    the crop's kept frames are not a run of the sequence's kept frames.
+    """
+    want = _resample_index(f1 - f0, fps)[::2] + f0
+    at = int(np.searchsorted(keep, want[0]))
+    rows = slice(at, at + len(want))
+    return rows if np.array_equal(keep[rows], want) else None
+
+
 def extract_features(seq: FrameSequence, video_id: str = "") -> FeatureSequence:
     """Full ingest chain: 25 fps, alternate-frame drop, 64x64 gray, DCT.
 

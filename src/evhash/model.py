@@ -14,8 +14,10 @@ cut to the requested length.
 
 One runner, :func:`bnlstm_layer`, serves training and inference. A
 batch is packed time-major into one (sum_t B_t, d) array, B_t being the
-number of items still active at step t (see ``Layout``); ``encode`` and
-``decode`` run a single video as a batch of one. Training normalizes
+number of items still active at step t (see ``Layout``).
+``encode_batch`` packs many videos into passes of at most
+``_ENCODE_ROWS`` input rows, ``encode`` is its one-item case, and
+``decode`` runs a single video as a batch of one. Training normalizes
 with the per-timestep batch statistics, which couple the batch items
 (the statistics at step t use the items that reach t); each layer is
 then a single tape node with a hand-written BPTT backward, and the
@@ -26,7 +28,7 @@ couple no items: every BN site is then a fixed affine map per step, so
 the layer folds them into per-step and per-row constants before its
 recurrence and runs on plain arrays without a tape, one small GEMM and
 a dozen in-place ufuncs per step. Features or code-layer hidden states
-that are not finite stop ``encode`` with NonFiniteValues.
+that are not finite stop ``encode_batch`` with NonFiniteValues.
 
 Checkpoint format MCBN, read with :class:`evhash.binfile.Reader`
 (little-endian): magic "MCBN", version u8=1, layer count u8 (8), then
@@ -627,37 +629,77 @@ def forward_batch_train(seqs: list[FeatureSequence], model: Autoencoder,
 # -- inference ---------------------------------------------------------------
 
 
-def _encoder_hidden_infer(model: Autoencoder, X: np.ndarray):
-    """Code-layer hidden states (M_e, L) and (f, i, o) gates (M_e, 3 L) of
-    one (M, D) sequence, with running statistics."""
-    _, hid, gates = _encoder(model, X, Layout([len(X)]), "running")
-    return hid, gates
+# Input rows of one packed encode pass: 32 MB of float32 features at D = 1024.
+_ENCODE_ROWS = 8192
+
+
+def encode_batch(seqs: list[FeatureSequence],
+                 model: Autoencoder) -> list[EncodeResult]:
+    """Encode feature sequences into binary codes, one result per item in
+    input order.
+
+    The items are packed in the model's dtype, sorted by decreasing
+    length (see ``Layout``), and each pass of at most ``_ENCODE_ROWS``
+    input rows is one encoder run with running statistics; an item longer
+    than that runs alone. Those statistics couple no items, so every item
+    gets the codes it gets alone. Each item's gate record comes from the
+    last encoder layer; d_series[t] is the Hamming distance between codes
+    t+1 and t. An empty, unnormalized or wrongly sized item raises before
+    any pass runs. Features (after the cast to the model's dtype) or
+    code-layer hidden states that are not finite raise NonFiniteValues
+    naming their item, since a NaN would read as bit 0.
+    """
+    for seq in seqs:
+        if seq.M < 1:
+            raise EmptySequence(f"{seq.video_id}: empty feature sequence")
+        if not seq.normalized:
+            raise ValueError(f"{seq.video_id}: encode expects normalized "
+                             f"features")
+        if seq.D != model.D:
+            raise ShapeMismatch(f"features D={seq.D}, model D={model.D}")
+    passes, rows = [], _ENCODE_ROWS
+    for i in sorted(range(len(seqs)), key=lambda i: -seqs[i].M):
+        if rows + seqs[i].M > _ENCODE_ROWS:
+            passes.append([])
+            rows = 0
+        passes[-1].append(i)
+        rows += seqs[i].M
+    out = [None] * len(seqs)
+    for batch in passes:
+        for i, res in zip(batch, _encode_pass([seqs[i] for i in batch],
+                                              model)):
+            out[i] = res
+    return out
+
+
+def _encode_pass(seqs, model):
+    """EncodeResults of ``seqs``, sorted by decreasing length, from one
+    packed encoder run."""
+    lay = Layout([s.M for s in seqs])
+    X = np.empty((lay.rows, model.D), model.dtype)
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        for i, s in enumerate(seqs):
+            X[lay.item_rows(i)] = s.features
+    _check_finite(X, lay, seqs, "feature values")
+    enc, hid, gates = _encoder(model, X, lay, "running")
+    _check_finite(hid, enc, seqs, "hidden states in the code layer")
+    codes = sgn_ste(ad.arctanh_clamped(hid, ARCTANH_MARGIN))
+    return [_encode_result(codes[r], gates[r], model.L)
+            for r in map(enc.item_rows, range(len(seqs)))]
+
+
+def _check_finite(a, lay: Layout, seqs, what):
+    finite = np.isfinite(a).all(axis=1)
+    if not finite.all():
+        _, item = lay.steps_items()
+        raise NonFiniteValues(f"{seqs[item[~finite].min()].video_id}: "
+                              f"non-finite {what}")
 
 
 def encode(seq: FeatureSequence, model: Autoencoder) -> EncodeResult:
-    """Encode one feature sequence into binary codes.
-
-    The gate record comes from the last encoder layer; d_series[t] is the
-    Hamming distance between codes t+1 and t. Features (after the cast
-    to the model's dtype) or code-layer hidden states that are not
-    finite raise NonFiniteValues, since a NaN would read as bit 0.
-    """
-    if seq.M < 1:
-        raise EmptySequence(f"{seq.video_id}: empty feature sequence")
-    if not seq.normalized:
-        raise ValueError(f"{seq.video_id}: encode expects normalized features")
-    if seq.D != model.D:
-        raise ShapeMismatch(f"features D={seq.D}, model D={model.D}")
-    with np.errstate(over="ignore"):  # an overflow is reported below
-        X = seq.features.astype(model.dtype)
-    if not np.isfinite(X).all():
-        raise NonFiniteValues(f"{seq.video_id}: non-finite feature values")
-    hid, gates = _encoder_hidden_infer(model, X)
-    if not np.isfinite(hid).all():
-        raise NonFiniteValues(f"{seq.video_id}: non-finite hidden states in "
-                              f"the code layer")
-    codes = sgn_ste(ad.arctanh_clamped(hid, ARCTANH_MARGIN))
-    return _encode_result(codes, gates, model.L)
+    """Encode one feature sequence into binary codes: the one-item
+    :func:`encode_batch`, with its checks."""
+    return encode_batch([seq], model)[0]
 
 
 def decode(codes: EncodeResult, model: Autoencoder,

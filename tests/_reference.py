@@ -1,9 +1,13 @@
-"""Step-by-step reference of one BN-LSTM cell, built from small tape ops.
+"""Step-by-step references of code that runs vectorized.
 
 ``evhash.model.bnlstm_layer`` runs a whole layer fused, with a
 hand-written backward pass, and folds running-mode BN into constants.
 The tests hold it to this per-step form, which advances one cell by one
 timestep from tape ops whose gradients are each a few lines.
+
+``evhash.hashing.detect_event_ends`` tests its thresholds over the whole
+distance series at once; :func:`detect_event_ends_per_step` walks the
+steps one by one, taking each trailing window's mean on its own.
 """
 
 import numpy as np
@@ -167,3 +171,23 @@ def bnlstm_cell_step(x_t, h_prev, c_prev, cell, t: int, mode: str,
              sigmoid(ad.slice_cols(pre, d, 2 * d)),
              sigmoid(ad.slice_cols(pre, 3 * d, 4 * d)))
     return h_t, c_t, gates
+
+
+def detect_event_ends_per_step(d_series, cfg, M_e):
+    """``evhash.hashing.detect_event_ends`` one step at a time."""
+    ends = []
+    prev = 0
+    w = cfg.window
+    for t in range(1, M_e):
+        if M_e - t < cfg.min_event_len:
+            break
+        d = d_series[t - 1]
+        hit = d >= cfg.hard_threshold
+        if not hit and t - 1 >= w:
+            local = d_series[t - 1 - w:t - 1].mean()
+            hit = d > cfg.multiplier * local
+        if hit and t - prev >= cfg.min_event_len:
+            ends.append(t)
+            prev = t
+    ends.append(M_e)
+    return ends

@@ -37,11 +37,12 @@ from evhash.losses import (
     train,
 )
 from evhash.model import (
+    Layout,
     build_model,
     encode,
     encoder_len,
     forward_batch_train,
-    _encoder_hidden_infer,
+    _encoder,
 )
 from evhash.numerics import grad_check
 
@@ -175,7 +176,7 @@ def test_c04_plain_lstm_reduction():
             p.value[...] = rng.normal(scale=0.4, size=p.value.shape)
         freeze_to_plain_lstm(model)
         X = rng.normal(size=(int(rng.integers(4, 30)), 7))
-        got, _ = _encoder_hidden_infer(model, X)
+        _, got, _ = _encoder(model, X, Layout([len(X)]), "running")
         want = plain_encoder_oracle(model, X)
         worst = max(worst, float(np.abs(got - want).max()))
     assert worst <= 1e-6
@@ -276,9 +277,10 @@ def test_c07_retrieval_matches_naive_full_scan():
                   ).astype(np.uint8)
             db_add(db, VideoHash(f"v{i:02d}", L, ev,
                                  np.arange(1, len(ev) + 1), "events", 1.0))
-        q = VideoHash("q", L, (rng.random((int(rng.integers(1, 41)), L))
-                               > 0.5).astype(np.uint8),
-                      np.arange(1, 41), "events", 1.0)
+        q_ev = (rng.random((int(rng.integers(1, 41)), L)) > 0.5
+                ).astype(np.uint8)
+        q = VideoHash("q", L, q_ev, np.arange(1, len(q_ev) + 1), "events",
+                      1.0)
         got = [vid for vid, _ in query_topk(db, q, n)]
         assert got == naive_rank(db, q)
 

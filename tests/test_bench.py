@@ -1,9 +1,11 @@
 import csv
+import itertools
 
 import numpy as np
 import pytest
 
 from evhash import bench
+from evhash import model as model_mod
 from evhash.bench import (
     BUCKET_LABELS,
     CopySpec,
@@ -22,7 +24,7 @@ from evhash.errors import OutOfRange, TooShort, ZeroDuration
 from evhash.hashing import EventDetectConfig, VideoHash, hash_video
 from evhash.index import HashDatabase, db_add, query_topk
 from evhash.ingest import compute_norm_stats, extract_features, normalize
-from evhash.model import build_model, encode
+from evhash.model import build_model, encode, encode_batch
 from tests.test_hashing import make_result
 
 
@@ -220,8 +222,9 @@ class TestRunEval:
             assert all(np.isnan(a) for a in report.topk[mode])
 
     def test_restricted_report_is_the_report_of_its_copies(self, eval_setup):
-        # each copy is encoded on its own, so the slide = 2 (mod 4) report
-        # must equal a whole evaluation of those copies alone
+        # a copy's codes do not depend on the copies that share its encode
+        # pass, so the slide = 2 (mod 4) report must equal a whole
+        # evaluation of those copies alone
         videos, ids, model, stats = eval_setup
         copies = [spec for seq, vid in zip(videos, ids)
                   for spec in make_copies(int(seq.duration_seconds),
@@ -275,36 +278,93 @@ class TestCropFeatures:
     """``run_eval`` gives a copy its source's rows where it can; they must
     be the rows a fresh ingest of the crop gives."""
 
+    @staticmethod
+    def spy_encodes(monkeypatch):
+        """Record every item given to ``bench.encode`` and, per call, the
+        items given to ``bench.encode_batch``."""
+        singles, batches = [], []
+
+        def spy_encode(feats, net):
+            singles.append(feats)
+            return encode(feats, net)
+
+        def spy_encode_batch(seqs, net):
+            batches.append(list(seqs))
+            return encode_batch(seqs, net)
+
+        monkeypatch.setattr(bench, "encode", spy_encode)
+        monkeypatch.setattr(bench, "encode_batch", spy_encode_batch)
+        return singles, batches
+
     @pytest.mark.parametrize("fps", [25, 24, 15])
     def test_rows_equal_a_fresh_ingest(self, eval_setup, monkeypatch, fps):
         _, _, model, stats = eval_setup
         source = synth_video(40 + fps, 20, fps=fps)
         odd = CopySpec("src", 0, 5, 5, 20)  # starts on an odd second
         copies = make_copies(20, source_id="src") + [odd]
-        encoded, ingested = [], []
-
-        def spy_encode(feats, net):
-            encoded.append(feats)
-            return encode(feats, net)
+        singles, batches = self.spy_encodes(monkeypatch)
+        ingested = []
 
         def spy_extract(seq, video_id=""):
             ingested.append(video_id)
             return extract_features(seq, video_id)
 
-        monkeypatch.setattr(bench, "encode", spy_encode)
         monkeypatch.setattr(bench, "extract_features", spy_extract)
         run_eval([source], ["src"], model, stats, copies=copies,
                  modes=("events",))
-        assert len(encoded) == 1 + len(copies)
-        for spec, got in zip(copies, encoded[1:]):
+        assert singles[0].video_id == "src"
+        items = singles[1:] + [f for batch in batches for f in batch]
+        keys = []
+        for got in items:
+            spec = copies[int(got.video_id.split(":q")[1])]
+            keys.append((spec.start, spec.T_c))
             want = normalize(extract_features(crop_frames(source, spec)),
                              stats).features
             assert got.normalized
             assert got.features.dtype == want.dtype
             assert got.features.shape == want.shape
             assert got.features.tobytes() == want.tobytes()
+        # every crop is encoded once, though 19 of them repeat under
+        # another slide
+        assert len(copies) - len(keys) == 19
+        assert sorted(keys) == sorted({(s.start, s.T_c) for s in copies})
         # the source's ingest, then the odd copy's fallback only
         assert ingested == ["src", f"src:q{len(copies) - 1}"]
+        assert [f.video_id for f in singles[1:]] == \
+            [f"src:q{len(copies) - 1}"]
+
+    def test_passes_across_sources_equal_a_fresh_ingest(self, eval_setup,
+                                                        monkeypatch):
+        videos, ids, model, stats = eval_setup
+        videos, ids = videos + [synth_video(13, 12)], ids + ["vid3"]
+        per_source = [make_copies(int(v.duration_seconds), source_id=vid)
+                      for v, vid in zip(videos, ids)]
+        copies = [spec for group in itertools.zip_longest(*per_source)
+                  for spec in group if spec is not None]
+        copies[5:5] = [CopySpec("vid3", 0, 5, 5, 12)]  # an odd start
+        copies += copies[:4] + [copies[5]]             # repeated crops
+        monkeypatch.setattr(model_mod, "_ENCODE_ROWS", 120)
+        singles, batches = self.spy_encodes(monkeypatch)
+        report = run_eval(videos, ids, model, stats, copies=copies)
+        monkeypatch.undo()
+        # passes under the cap (a 150-row crop runs alone), some of them
+        # with crops of several sources
+        assert len(batches) > 3
+        assert all(sum(f.M for f in b) <= 120 for b in batches if len(b) > 1)
+        assert any(len({f.video_id.split(":")[0] for f in b}) > 1
+                   for b in batches)
+        encoded = [f.video_id for f in singles[len(videos):]] + [
+            f.video_id for b in batches for f in b]
+        crops = [copies[int(vid.split(":q")[1])] for vid in encoded]
+        assert len(crops) == len({(s.source_id, s.start, s.T_c)
+                                  for s in copies})
+        assert encoded[0] == "vid3:q5"
+        want = reference_eval(videos, ids, model, stats, copies)
+        for mode in report.modes:
+            np.testing.assert_equal(
+                (report.topk[mode], report.buckets[mode],
+                 report.topk_restricted[mode],
+                 report.buckets_restricted[mode]), want[mode])
 
     def test_reports_equal_a_fresh_ingest_of_every_crop(self, eval_setup):
         videos, ids, model, stats = eval_setup

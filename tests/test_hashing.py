@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evhash.errors import BadRange, DataError, EmptyCodes, LengthMismatch
 from evhash.hashing import (
     EventDetectConfig,
+    VideoHash,
     detect_event_ends,
     emit_d_series,
     encoder_step_time,
@@ -15,6 +18,7 @@ from evhash.hashing import (
     write_video_hash,
 )
 from evhash.model import EncodeResult
+from tests._reference import detect_event_ends_per_step
 
 
 def detect_oracle(d_series, cfg, m_e):
@@ -79,6 +83,26 @@ class TestDetect:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             detect_event_ends(np.zeros(3), CFG, 3)
+
+    @settings(derandomize=True, deadline=None, max_examples=300,
+              database=None)
+    @given(m_e=st.integers(0, 90), seed=st.integers(0, 2**32 - 1),
+           floats=st.booleans(), hard=st.integers(1, 12),
+           window=st.integers(1, 12), multiplier=st.floats(0.25, 4.0),
+           min_len=st.integers(1, 6))
+    def test_equals_the_per_step_walk(self, m_e, seed, floats, hard, window,
+                                      multiplier, min_len):
+        cfg = EventDetectConfig(hard_threshold=hard, window=window,
+                                multiplier=multiplier, min_event_len=min_len)
+        rng = np.random.default_rng(seed)
+        n = max(m_e - 1, 0)
+        # sparse spikes over a low floor, as adjacent Hamming distances
+        # are; float series as a continuous d
+        d = rng.integers(0, 3, size=n) * rng.integers(1, 8, size=n)
+        if floats:
+            d = d * rng.uniform(0.2, 1.5, size=n)
+        assert detect_event_ends(d, cfg, m_e) == \
+            detect_event_ends_per_step(d, cfg, m_e)
 
 
 class TestPooling:
@@ -234,6 +258,14 @@ class TestTextForm:
         assert back.duration_seconds == vh.duration_seconds
         np.testing.assert_array_equal(back.events, vh.events)
         np.testing.assert_array_equal(back.end_steps, vh.end_steps)
+
+    @pytest.mark.parametrize("ends", [np.arange(1, 4), np.arange(1, 7),
+                                      np.arange(1, 6)[None]])
+    def test_end_steps_must_match_the_events(self, ends):
+        # three end steps for five events would be written as three lines
+        with pytest.raises(LengthMismatch, match="5 events need 5 end"):
+            VideoHash("v", 8, np.zeros((5, 8), np.uint8), ends, "events",
+                      1.0)
 
 
 VH_HEADER = "# evhash-vh 1 mode=events L=12 duration=9.6 id=clip\n"

@@ -144,7 +144,7 @@ class TestEncoderStack:
                 p.value[...] = rng.normal(scale=0.4, size=p.value.shape)
             freeze_to_plain_lstm(model)
             X = rng.normal(size=(11, 6))
-            got, _ = M._encoder_hidden_infer(model, X)
+            _, got, _ = M._encoder(model, X, M.Layout([len(X)]), "running")
             want = plain_encoder_oracle(model, X)
             np.testing.assert_allclose(got, want, atol=1e-6)
 
@@ -216,6 +216,119 @@ class TestEncoderStack:
         for i, seq in enumerate(seqs):
             np.testing.assert_array_equal(bits[enc.item_rows(i)],
                                           encode(seq, model).codes)
+
+
+def stats_model(seed, dtype=np.float64, D=6, L=4, dims=(5, 4, 3)):
+    """A model with random weights and running statistics from one
+    momentum-1 training batch, so codes follow the input."""
+    rng = np.random.default_rng(seed)
+    model = build_model(D=D, L=L, encoder_dims=dims, seed=seed, dtype=dtype)
+    for p in model.parameters():
+        p.value[...] = rng.normal(scale=0.5, size=p.value.shape)
+    for cell in model.cells:
+        for site in cell.sites():
+            site.momentum = 1.0
+    M.forward_batch_train([rand_seq(rng, 12, D) for _ in range(8)], model)
+    return model
+
+
+def assert_same_codes(got, want):
+    assert got.M_e == want.M_e
+    assert got.codes.tobytes() == want.codes.tobytes()
+    np.testing.assert_array_equal(got.d_series, want.d_series)
+
+
+class TestEncodeBatch:
+    LENGTHS = (1, 2, 3, 31, 22, 4, 1, 9, 17, 2, 40, 5)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_codes_equal_per_item_encode(self, dtype):
+        model = stats_model(31, dtype)
+        rng = np.random.default_rng(32)
+        seqs = [rand_seq(rng, m, 6, f"v{i}")
+                for i, m in enumerate(self.LENGTHS)]
+        got = M.encode_batch(seqs, model)
+        assert len(got) == len(seqs)
+        for seq, res in zip(seqs, got):
+            assert_same_codes(res, encode(seq, model))
+            assert res.codes.shape == (encoder_len(seq.M), 4)
+        assert M.encode_batch([], model) == []
+
+    def test_every_prefix_of_synthetic_videos(self):
+        # c06's model and video kind, at a few short videos
+        from evhash.bench import synth_video
+        from evhash.ingest import compute_norm_stats, extract_features, \
+            normalize
+        model = build_model(D=1024, L=64, encoder_dims=(32, 32, 16),
+                            seed=11)
+        feats = [extract_features(synth_video(500 + i, 4 + i), f"v{i}")
+                 for i in range(3)]
+        stats = compute_norm_stats(feats)
+        prefixes = [FeatureSequence(f"{f.video_id}:{m}", seq.features[:m],
+                                    normalized=True)
+                    for f in feats for seq in [normalize(f, stats)]
+                    for m in range(1, seq.M + 1)]
+        for seq, res in zip(prefixes, M.encode_batch(prefixes, model)):
+            assert_same_codes(res, encode(seq, model))
+
+    def test_split_passes_give_the_same_results(self, monkeypatch):
+        model = stats_model(33, np.float32)
+        rng = np.random.default_rng(34)
+        seqs = [rand_seq(rng, m, 6, f"v{i}")
+                for i, m in enumerate(self.LENGTHS)]
+        whole = M.encode_batch(seqs, model)
+        runs = []
+        encoder = M._encoder
+
+        def spy(model, x, inp, stats):
+            runs.append(inp.rows)
+            return encoder(model, x, inp, stats)
+
+        monkeypatch.setattr(M, "_encoder", spy)
+        monkeypatch.setattr(M, "_ENCODE_ROWS", 30)
+        split = M.encode_batch(seqs, model)
+        # 40 and 31 rows run alone; the rest fit 30 rows per pass
+        assert len(runs) > 3 and max(runs) == 40
+        assert all(r <= 30 for r in runs if r not in (40, 31))
+        for a, b in zip(split, whole):
+            assert_same_codes(a, b)
+
+    @pytest.mark.parametrize("bad", [np.nan, 1e39])
+    def test_non_finite_features_name_the_item(self, bad):
+        # 1e39 is finite in float64 but overflows the float32 model's cast
+        model = stats_model(35, np.float32)
+        rng = np.random.default_rng(36)
+        seqs = [rand_seq(rng, m, 6, f"v{i}") for i, m in enumerate((9, 14, 3))]
+        seqs[1].features[5, 2] = bad
+        with pytest.raises(NonFiniteValues, match="^v1: non-finite feature"):
+            M.encode_batch(seqs, model)
+        with pytest.raises(NonFiniteValues, match="^v1: non-finite feature"):
+            encode(seqs[1], model)
+        M.encode_batch([seqs[0], seqs[2]], model)
+
+    def test_non_finite_hidden_states_name_the_item(self):
+        # the first layer's last trained cell statistics (step 12, reused
+        # past it) reach only the item with 12 or more steps
+        model = stats_model(39)
+        model.encoder[0].site_c.stats[-1, 1] = np.nan
+        rng = np.random.default_rng(40)
+        seqs = [rand_seq(rng, m, 6, f"v{i}") for i, m in enumerate((9, 30, 3))]
+        with pytest.raises(NonFiniteValues, match="^v1: non-finite hidden"):
+            M.encode_batch(seqs, model)
+        M.encode_batch([seqs[0], seqs[2]], model)
+
+    def test_item_checks(self):
+        model = stats_model(37)
+        rng = np.random.default_rng(38)
+        good = rand_seq(rng, 5, 6, "good")
+        with pytest.raises(EmptySequence, match="empty"):
+            M.encode_batch([good, FeatureSequence(
+                "e", np.zeros((0, 6)), normalized=True)], model)
+        with pytest.raises(ValueError, match="raw: encode expects normalized"):
+            M.encode_batch([good, FeatureSequence("raw", np.ones((4, 6)))],
+                           model)
+        with pytest.raises(ShapeMismatch):
+            M.encode_batch([good, rand_seq(rng, 4, 5)], model)
 
 
 class TestDecoderStack:
