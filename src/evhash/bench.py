@@ -7,7 +7,8 @@ normalized feature rows, and such copies are encoded together, each
 crop once, in the packed passes of ``encode_batch`` (see ``run_eval``).
 Any other copy (an odd start, which a ``copies.csv`` may give) is
 ingested and encoded again from its frames. The rows and codes are the
-same either way.
+same either way. A crop's frames are a read-only view of its source's
+(``crop_frames``), so a query copies no pixels.
 """
 
 from __future__ import annotations
@@ -66,11 +67,11 @@ class CopySpec:
 
     def frame_range(self, seq: FrameSequence) -> tuple[int, int]:
         """Frames [f0, f1) of ``seq`` that the copy spans."""
-        f0 = self.start * seq.fps
-        f1 = (self.start + self.T_c) * seq.fps
-        if f0.denominator != 1 or f1.denominator != 1:
+        num, den = seq.fps.numerator, seq.fps.denominator
+        f0, r0 = divmod(self.start * num, den)
+        f1, r1 = divmod((self.start + self.T_c) * num, den)
+        if r0 or r1:
             raise OutOfRange(f"copy bounds {self} are not on frame boundaries")
-        f0, f1 = int(f0), int(f1)
         if not 0 <= f0 < f1 <= len(seq.frames):
             raise OutOfRange(f"crop [{f0}, {f1}) outside {len(seq.frames)} "
                              f"frames")
@@ -163,10 +164,13 @@ def make_copies(T_fv: int, min_copy: int = 4, min_slide: int = 2,
 
 
 def crop_frames(seq: FrameSequence, spec: CopySpec) -> FrameSequence:
-    """Copy the frames of [start, start + T_c) seconds, verbatim."""
+    """The frames of [start, start + T_c) seconds, verbatim, as a read-only
+    view of ``seq``'s frames: no pixel is copied, and writing into the
+    crop raises ``ValueError``. ``seq`` itself stays writeable."""
     f0, f1 = spec.frame_range(seq)
-    return FrameSequence(seq.width, seq.height, seq.fps,
-                         seq.frames[f0:f1].copy())
+    frames = seq.frames[f0:f1]
+    frames.flags.writeable = False
+    return FrameSequence(seq.width, seq.height, seq.fps, frames)
 
 
 # -- metrics ------------------------------------------------------------------
@@ -246,7 +250,10 @@ def run_eval(videos: list[FrameSequence], video_ids: list[str],
     and if it reuses rows, the keys of the following reusing copies too,
     in query order, until their rows would pass ``model._ENCODE_ROWS``:
     one ``encode_batch`` that gathers the source rows straight into its
-    packed array. Each query still starts with its ``crop_frames`` call.
+    packed array. Each query still starts with its ``crop_frames`` call,
+    which costs no pixel copy: the crop is a view of the source's frames.
+    Then it hashes its codes once per mode and queries that mode's
+    database once (``hash_video``, then ``query_topk``).
 
     The restricted variants keep only copies whose slide is an even
     number of seconds but not a multiple of four.

@@ -15,10 +15,10 @@ final, still-open event.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     BadRange,
@@ -70,7 +70,8 @@ class VideoHash:
             raise LengthMismatch(f"{self.video_id}: {self.E} events need "
                                  f"{self.E} end steps, got "
                                  f"{np.shape(self.end_steps)}")
-        if np.any(np.diff(self.end_steps) <= 0):
+        ends = np.asarray(self.end_steps)
+        if len(ends) > 1 and not (ends[1:] > ends[:-1]).all():
             raise BadRange(f"{self.video_id}: event ends must increase")
 
     @property
@@ -99,16 +100,42 @@ def detect_event_ends(d_series, cfg: EventDetectConfig, M_e: int) -> list[int]:
     w = cfg.window
     hit = d >= cfg.hard_threshold
     if len(d) > w:
-        local = sliding_window_view(d[:-1], w).mean(axis=1)
-        hit[w:] |= d[w:] > cfg.multiplier * local
+        # sums[i] = d[i] + ... + d[i + w - 1], the window before d[i + w];
+        # exact for the integer distances that encode produces
+        run = np.cumsum(d[:-1])
+        sums = run[w - 1:].copy()
+        sums[1:] -= run[:-w]
+        hit[w:] |= d[w:] > cfg.multiplier * (sums / w)
     ends = []
     prev = 0
-    for t in (np.flatnonzero(hit) + 1).tolist():
-        if t - prev >= cfg.min_event_len:
-            ends.append(t)
-            prev = t
+    for i in hit.nonzero()[0].tolist():
+        if i + 1 - prev >= cfg.min_event_len:
+            prev = i + 1
+            ends.append(prev)
     ends.append(M_e)
     return ends
+
+
+def pool_events(codes: np.ndarray, ends: list[int], P: int,
+                prev_end: int = 0) -> np.ndarray:
+    """(E, L) codes of the events that end at the increasing 1-based steps
+    ``ends`` (at least one), the first after ``prev_end``: each bit is the
+    majority over the event's last min(P, event length) code rows of
+    ``codes`` ((M_e, L) in {0, 1}), and an even split votes 1.
+
+    The windows [start, end) of rows are summed by one ``reduceat`` over
+    the bounds start_1, end_1, start_2, ..., whose odd-numbered runs (from
+    an end to the next start) are dropped.
+    """
+    bounds, need = [], []
+    for end in ends:
+        start = max(prev_end, end - P)
+        bounds += start, end
+        need.append((end - start + 1) // 2)  # ones that win the vote
+        prev_end = end
+    ones = np.add.reduceat(codes[:end], bounds[:-1], axis=0,
+                           dtype=np.intp)[::2]
+    return np.greater_equal(ones, np.array(need)[:, None]).view(np.uint8)
 
 
 def pool_event_hash(codes: np.ndarray, event_end: int, prev_end: int,
@@ -116,14 +143,13 @@ def pool_event_hash(codes: np.ndarray, event_end: int, prev_end: int,
     """Bitwise majority over the last min(P, event length) code rows.
 
     ``codes`` is (M_e, L) in {0, 1}; steps are 1-based and the event
-    covers (prev_end, event_end]. An even split votes 1.
+    covers (prev_end, event_end]. An even split votes 1. This is the
+    one-event case of ``pool_events``.
     """
     if not 0 <= prev_end < event_end <= len(codes):
         raise BadRange(f"bad event range ({prev_end}, {event_end}] "
                        f"for {len(codes)} steps")
-    window = codes[max(prev_end, event_end - P):event_end]
-    ones = window.sum(axis=0, dtype=np.int64)
-    return (2 * ones >= len(window)).astype(np.uint8)
+    return pool_events(codes, [event_end], P, prev_end)[0]
 
 
 def encoder_step_time(k: int, fps: float = 25.0) -> float:
@@ -133,14 +159,11 @@ def encoder_step_time(k: int, fps: float = 25.0) -> float:
 
 def sample_interval_steps(T_s: float, fps: float = 25.0) -> int:
     """Encoder steps per sampling period, rounded half away from zero."""
-    return int(np.floor(T_s * fps / FRAMES_PER_STEP + 0.5))
+    return math.floor(T_s * fps / FRAMES_PER_STEP + 0.5)
 
 
 def _sample_ends(M_e: int, delta: int) -> list[int]:
-    ends = sorted({min(n * delta, M_e) for n in range(1, -(-M_e // delta) + 1)})
-    if ends[-1] != M_e:
-        ends.append(M_e)
-    return ends
+    return [*range(delta, M_e, delta), M_e]
 
 
 def _densify(ends: list[int], delta: int) -> list[int]:
@@ -156,6 +179,22 @@ def _densify(ends: list[int], delta: int) -> list[int]:
     return out
 
 
+def _event_ends(codes: EncodeResult, cfg: EventDetectConfig) -> tuple:
+    """``detect_event_ends`` of an encoded video, as a tuple.
+
+    Eval hashes each query in both event modes, one after the other, so
+    the result is kept on ``codes`` for the next call. Its key holds a copy
+    of the series' bytes: a series changed in place keys differently, and
+    stale ends cannot come back.
+    """
+    d = np.asarray(codes.d_series)
+    key = (d.dtype.str, d.shape, d.tobytes(), codes.M_e, cfg.hard_threshold,
+           cfg.window, cfg.multiplier, cfg.min_event_len)
+    if codes.detected[0] != key:
+        codes.detected = key, tuple(detect_event_ends(d, cfg, codes.M_e))
+    return codes.detected[1]
+
+
 def hash_video(codes: EncodeResult, mode: str, cfg: EventDetectConfig,
                T_s: float = 4.0, video_id: str = "",
                duration_seconds: float | None = None) -> VideoHash:
@@ -166,6 +205,10 @@ def hash_video(codes: EncodeResult, mode: str, cfg: EventDetectConfig,
     ``duration_seconds`` defaults to the span of the encoder steps; pass
     the true duration when it is known (it feeds hash-rate reporting,
     not retrieval).
+
+    Every event is pooled at once (``pool_events``). The two event modes
+    detect on the same series, so the last detection is kept on ``codes``
+    for the next call, under a key that holds a copy of the series' bytes.
     """
     if codes.M_e < 1:
         raise EmptyCodes("cannot hash an empty code sequence")
@@ -179,20 +222,14 @@ def hash_video(codes: EncodeResult, mode: str, cfg: EventDetectConfig,
             raise BadRange(f"sampling period {T_s} s rounds to {delta} "
                            f"encoder steps, needs at least 1")
     if mode == "events":
-        ends = detect_event_ends(codes.d_series, cfg, codes.M_e)
+        ends = _event_ends(codes, cfg)
     elif mode == "sample":
         ends = _sample_ends(codes.M_e, delta)
     else:
-        ends = _densify(detect_event_ends(codes.d_series, cfg, codes.M_e),
-                        delta)
-    pooled = []
-    prev = 0
-    for e in ends:
-        pooled.append(pool_event_hash(codes.codes, e, prev, cfg.pool_size))
-        prev = e
+        ends = _densify(_event_ends(codes, cfg), delta)
     return VideoHash(video_id=video_id, L=codes.codes.shape[1],
-                     events=np.stack(pooled),
-                     end_steps=np.asarray(ends, dtype=np.int64),
+                     events=pool_events(codes.codes, ends, cfg.pool_size),
+                     end_steps=np.array(ends, dtype=np.int64),
                      mode=mode, duration_seconds=float(duration_seconds))
 
 
@@ -220,7 +257,8 @@ def write_d_series_csv(codes: EncodeResult, path,
 
 def pack_codes(bits: np.ndarray) -> np.ndarray:
     """(E, L) {0,1} -> (E, ceil(L/8)) packed bytes, LSB first."""
-    return np.packbits(bits.astype(np.uint8), axis=-1, bitorder="little")
+    return np.packbits(bits.astype(np.uint8, copy=False), axis=-1,
+                       bitorder="little")
 
 
 def unpack_codes(packed: np.ndarray, L: int) -> np.ndarray:

@@ -41,7 +41,6 @@ from __future__ import annotations
 import struct
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import reduce
 from itertools import islice
 from types import MappingProxyType
 
@@ -246,8 +245,10 @@ def db_load(path) -> HashDatabase:
 _BLOCK_WORDS = 1 << 15
 
 
-def _words(packed: np.ndarray, L: int) -> np.ndarray:
-    """(E, ceil(L/8)) packed bytes -> (E, ceil(L/64)) zero-padded words."""
+def _words(bits: np.ndarray, L: int) -> np.ndarray:
+    """(E, L) {0, 1} bits -> (E, ceil(L/64)) words, packed as ``pack_codes``
+    packs them and zero-padded."""
+    packed = pack_codes(bits)
     words = np.zeros((len(packed), _word_count(L)), np.uint64)
     words.view(np.uint8)[:, :packed.shape[1]] = packed
     return words
@@ -257,6 +258,7 @@ def _entry_totals(q_words: np.ndarray, store: _Store) -> np.ndarray:
     """Per entry of ``store``, in insertion order, the sum over query events
     of the minimum Hamming distance to the entry's events (int64)."""
     E_q, W = q_words.shape
+    q = q_words[:, None, None]  # broadcasts over a block's (e, B)
     total = np.empty(len(store.ids), np.int64)
     for e, b in store.buckets.items():
         # query events and entries per block: qn * e * W * step words, at
@@ -265,27 +267,32 @@ def _entry_totals(q_words: np.ndarray, store: _Store) -> np.ndarray:
         step = max(1, _BLOCK_WORDS // (qn * e * W))
         for i0 in range(0, b.n, step):
             i1 = min(i0 + step, b.n)
-            total[b.pos[i0:i1]] = reduce(np.add, (
-                _min_sums(q_words[q0:q0 + qn], b.words[:, i0:i1])
-                for q0 in range(0, E_q, qn)))
+            block = b.words[:, i0:i1]
+            sums = _min_sums(q[:qn], block)
+            for q0 in range(qn, E_q, qn):
+                sums += _min_sums(q[q0:q0 + qn], block)
+            total[b.pos[i0:i1]] = sums
     return total
 
 
 def _min_sums(q_words: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """Per entry of an (e, B, W) ``block``, the sum over the query events of
-    the minimum Hamming distance to the entry's e events (int64)."""
-    count = np.bitwise_count(q_words[:, None, None] ^ block)
+    """Per entry of an (e, B, W) ``block``, the sum over the (E_q, 1, 1, W)
+    query events of the minimum Hamming distance to the entry's e events
+    (int64)."""
+    count = np.bitwise_count(q_words ^ block)
     W = block.shape[-1]
     dist = (count[..., 0] if W == 1
-            else count.sum(axis=-1, dtype=np.min_scalar_type(64 * W)))
-    return dist.min(axis=1).sum(axis=0, dtype=np.int64)
+            else np.add.reduce(count, axis=-1,
+                               dtype=np.min_scalar_type(64 * W)))
+    return np.add.reduce(np.minimum.reduce(dist, axis=1), axis=0,
+                         dtype=np.int64)
 
 
 def _single_entry_total(q_bits: np.ndarray, entry: DbEntry) -> int:
     L = q_bits.shape[1]
     store = _Store(L)
     store.extend(["entry"], [entry])
-    return int(_entry_totals(_words(pack_codes(q_bits), L), store)[0])
+    return int(_entry_totals(_words(q_bits, L), store)[0])
 
 
 def event_min_distance(query_event: np.ndarray, entry: DbEntry) -> int:
@@ -305,17 +312,19 @@ def query_topk(db: HashDatabase, query: VideoHash, k: int):
 
     Ties break lexicographically on the id, so rankings are reproducible.
     """
-    if len(db.entries) == 0:
+    if len(db) == 0:
         raise EmptyDatabase("cannot query an empty database")
     if query.L != db.L:
         raise LengthMismatch(f"query L={query.L}, database L={db.L}")
     if k < 1:
         raise ValueError("k must be at least 1")
     store = db._scan_store()
-    total = _entry_totals(_words(pack_codes(query.events), db.L), store)
+    total = _entry_totals(_words(query.events, db.L), store)
     k = min(k, len(total))
-    kth = np.partition(total, k - 1)[k - 1]
-    near = np.nonzero(total <= kth)[0]
-    scored = sorted(zip((total[near] / query.E).tolist(),
-                        [store.ids[i] for i in near.tolist()]))
-    return [(vid, dist) for dist, vid in scored[:k]]
+    near = (total <= np.partition(total, k - 1)[k - 1]).nonzero()[0]
+    # the totals sort as the distances total / E do, and int / int divides
+    # as numpy does
+    scored = sorted(zip(total[near].tolist(),
+                        map(store.ids.__getitem__, near.tolist())))
+    E = query.E
+    return [(vid, t / E) for t, vid in scored[:k]]

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -169,6 +169,10 @@ class EncodeResult:
     d_series: np.ndarray  # (M_e - 1,) adjacent Hamming distances
     gates: tuple          # (f, i, o), each (M_e, L) post-sigmoid
     M_e: int
+    # hashing's last event detection on this result, as (key, ends); the
+    # key holds a copy of d_series' bytes (see hashing._event_ends)
+    detected: tuple = field(default=(None, ()), init=False, repr=False,
+                            compare=False)
 
 
 def _adjacent_hamming(codes: np.ndarray) -> np.ndarray:
@@ -728,15 +732,18 @@ _MCBN_META = struct.Struct("<IIffI")
 
 
 def save_model(model: Autoencoder, path) -> None:
+    """Write ``model`` as MCBN. Each array is written from its own buffer
+    when it already is contiguous little-endian float32, else from one
+    converted copy."""
     with open(path, "wb") as f:
         f.write(_MCBN_HEADER.pack(b"MCBN", 1, len(model.cells)))
         for cell in model.cells:
             f.write(struct.pack("<II", cell.d_x, cell.d_h))
             for p in cell.parameters():
-                f.write(p.value.astype("<f4").tobytes())
+                f.write(np.ascontiguousarray(p.value, "<f4"))
             for site in cell.sites():
                 f.write(struct.pack("<I", site.max_train_timestep))
-                f.write(site.stats.astype("<f4").tobytes())
+                f.write(np.ascontiguousarray(site.stats, "<f4"))
         f.write(_MCBN_META.pack(model.D, model.L, model.momentum,
                                 model.eps, model.max_input_len))
 

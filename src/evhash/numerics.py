@@ -237,13 +237,21 @@ def adam_step(params, cfg: AdamConfig):
         if not np.all(np.isfinite(g2)):
             raise NonFiniteGradient(f"gradient of {p.name!r} is not finite "
                                     f"or overflows when squared")
+        # g2 and one scratch array hold every temporary: the update is
+        # lr * (m / c1) / (sqrt(v / c2) + eps_hat), in that order
+        step = np.multiply(g, 1.0 - cfg.beta1)
         p.m *= cfg.beta1
-        p.m += (1.0 - cfg.beta1) * g
+        p.m += step
         p.v *= cfg.beta2
         g2 *= 1.0 - cfg.beta2
         p.v += g2
-        del g2  # one parameter's size, not to be held through the update
-        p.value -= cfg.lr * (p.m / c1) / (np.sqrt(p.v / c2) + cfg.eps_hat)
+        denom = np.divide(p.v, c2, out=g2)
+        np.sqrt(denom, out=denom)
+        denom += cfg.eps_hat
+        np.divide(p.m, c1, out=step)
+        step *= cfg.lr
+        step /= denom
+        p.value -= step
         g[...] = 0.0
 
 

@@ -8,6 +8,10 @@ timestep from tape ops whose gradients are each a few lines.
 ``evhash.hashing.detect_event_ends`` tests its thresholds over the whole
 distance series at once; :func:`detect_event_ends_per_step` walks the
 steps one by one, taking each trailing window's mean on its own.
+
+``evhash.hashing.pool_events`` sums every event's window of code rows in
+one ``reduceat``; :func:`pool_events_per_event` takes the majority of
+each window on its own.
 """
 
 import numpy as np
@@ -191,3 +195,15 @@ def detect_event_ends_per_step(d_series, cfg, M_e):
             prev = t
     ends.append(M_e)
     return ends
+
+
+def pool_events_per_event(codes, ends, P):
+    """``evhash.hashing.pool_events`` one event at a time."""
+    pooled = []
+    prev = 0
+    for end in ends:
+        window = codes[max(prev, end - P):end]
+        ones = window.sum(axis=0, dtype=np.int64)
+        pooled.append((2 * ones >= len(window)).astype(np.uint8))
+        prev = end
+    return np.stack(pooled)

@@ -1,5 +1,6 @@
 import csv
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +24,12 @@ from evhash.bench import (
 from evhash.errors import OutOfRange, TooShort, ZeroDuration
 from evhash.hashing import EventDetectConfig, VideoHash, hash_video
 from evhash.index import HashDatabase, db_add, query_topk
-from evhash.ingest import compute_norm_stats, extract_features, normalize
+from evhash.ingest import (
+    FrameSequence,
+    compute_norm_stats,
+    extract_features,
+    normalize,
+)
 from evhash.model import build_model, encode, encode_batch
 from tests.test_hashing import make_result
 
@@ -127,6 +133,54 @@ class TestCropFrames:
         seq = synth_video(6, 8)
         with pytest.raises(OutOfRange):
             crop_frames(seq, CopySpec("v", 6, 6, 4, 12))
+
+    def test_read_only_view_of_the_source(self):
+        seq = synth_video(7, 8)
+        before = seq.frames.copy()
+        out = crop_frames(seq, CopySpec("v", 2, 2, 4, 8))
+        assert np.shares_memory(out.frames, seq.frames)
+        with pytest.raises(ValueError):
+            out.frames[0, 0, 0] = 1
+        assert seq.frames.flags.writeable
+        seq.frames[50, 0, 0] ^= 1  # the source stays writeable
+        seq.frames[50, 0, 0] ^= 1
+        np.testing.assert_array_equal(seq.frames, before)
+
+
+class TestFrameRange:
+    @staticmethod
+    def seq(fps, n):
+        return FrameSequence(1, 1, fps, np.zeros((n, 1, 1), np.uint8))
+
+    @pytest.mark.parametrize("fps, want", [
+        (24, (96, 192)), (25, (100, 200)), (15, (60, 120)),
+        (Fraction(30000, 1001), None)])
+    def test_whole_frame_bounds(self, fps, want):
+        spec = CopySpec("v", 0, 4, 4, 12)
+        seq = self.seq(fps, 360)
+        if want is None:  # 4 s is 119.88 frames at 29.97 fps
+            with pytest.raises(OutOfRange, match="frame boundaries"):
+                spec.frame_range(seq)
+        else:
+            assert spec.frame_range(seq) == want
+
+    def test_ntsc_bounds_on_the_frame_grid(self):
+        # 1001 s is exactly 30000 frames at 30000/1001 fps
+        seq = self.seq(Fraction(30000, 1001), 30000)
+        spec = CopySpec("v", 0, 0, 1001, 1001)
+        assert spec.frame_range(seq) == (0, 30000)
+
+    def test_off_the_grid_of_a_fractional_rate(self):
+        seq = self.seq(Fraction(25, 2), 200)
+        assert CopySpec("v", 0, 8, 4, 12).frame_range(seq) == (100, 150)
+        with pytest.raises(OutOfRange, match="frame boundaries"):
+            CopySpec("v", 0, 5, 5, 15).frame_range(seq)  # 62.5 frames
+
+    def test_past_the_end(self):
+        spec = CopySpec("v", 0, 4, 4, 12)
+        assert spec.frame_range(self.seq(25, 200)) == (100, 200)
+        with pytest.raises(OutOfRange, match="outside 199 frames"):
+            spec.frame_range(self.seq(25, 199))
 
 
 class TestMetrics:

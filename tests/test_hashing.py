@@ -13,12 +13,14 @@ from evhash.hashing import (
     hash_video,
     load_video_hash,
     pool_event_hash,
+    pool_events,
     sample_interval_steps,
     write_d_series_csv,
     write_video_hash,
 )
 from evhash.model import EncodeResult
-from tests._reference import detect_event_ends_per_step
+from tests._reference import detect_event_ends_per_step, \
+    pool_events_per_event
 
 
 def detect_oracle(d_series, cfg, m_e):
@@ -133,6 +135,28 @@ class TestPooling:
         with pytest.raises(BadRange):
             pool_event_hash(codes, 2, 2, P=2)
 
+    @settings(derandomize=True, deadline=None, max_examples=200,
+              database=None)
+    @given(m_e=st.integers(1, 40), L=st.integers(1, 20),
+           P=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+           density=st.floats(0.0, 1.0))
+    def test_equals_the_per_event_pool(self, m_e, L, P, seed, density):
+        # ends at random steps, so events range from one row to far more
+        # than P; even P and short events of even length give even splits
+        rng = np.random.default_rng(seed)
+        codes = rand_codes(rng, m_e, L)
+        cut = np.flatnonzero(rng.random(m_e - 1) < density) + 1
+        ends = [*cut.tolist(), m_e]
+        np.testing.assert_array_equal(pool_events(codes, ends, P),
+                                      pool_events_per_event(codes, ends, P))
+        res = make_result(codes)
+        cfg = EventDetectConfig(hard_threshold=max(1, L // 4), window=3,
+                                min_event_len=2, pool_size=P)
+        for mode in ("events", "sample", "sample_and_events"):
+            vh = hash_video(res, mode, cfg, T_s=0.32 * (1 + seed % 5))
+            np.testing.assert_array_equal(
+                vh.events, pool_events_per_event(codes, vh.end_steps, P))
+
 
 class TestStepTime:
     def test_values(self):
@@ -204,6 +228,20 @@ class TestHashVideo:
         b = hash_video(res, "events", CFG)
         np.testing.assert_array_equal(a.events, b.events)
         np.testing.assert_array_equal(a.end_steps, b.end_steps)
+
+    def test_event_modes_follow_changes_made_in_place(self):
+        # hash_video keeps its last detection, under a copy of the series
+        res = make_result(np.zeros((20, 8)))
+        cfg = EventDetectConfig(hard_threshold=4, window=3, multiplier=2.0,
+                                min_event_len=2, pool_size=3)
+        assert hash_video(res, "events", cfg).E == 1
+        res.d_series[9] = 8  # a spike at step 10
+        for mode in ("events", "sample_and_events"):
+            np.testing.assert_array_equal(
+                hash_video(res, mode, cfg, T_s=8.0).end_steps, [10, 20])
+        cfg.hard_threshold = 9  # above the spike, with no full window
+        cfg.window = 20
+        assert hash_video(res, "events", cfg).E == 1
 
     def test_total_bits(self):
         rng = np.random.default_rng(5)

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -417,6 +418,23 @@ class TestCheckpoint:
         assert back.max_input_len == 9
         got = encode(rand_seq(rng, 11, 6), back)
         assert got.codes.shape == (3, 4)
+
+    @pytest.mark.parametrize("dtype, digest", [
+        (np.float32,
+         "03898338fbd9d0393ae48d6de0babca9ee961397ad9d707e65d666178cf053f1"),
+        (np.float64,
+         "a70388db6ca64500eec95a6a5201c18b275ed21228f989a80c43680e9f0f9db6"),
+    ])
+    def test_file_bytes_are_pinned(self, tmp_path, dtype, digest):
+        # the digests of files that astype("<f4").tobytes() wrote
+        rng = np.random.default_rng(17)
+        model = build_model(D=6, L=4, encoder_dims=(5, 4, 3), seed=18,
+                            dtype=dtype)
+        M.forward_batch_train([rand_seq(rng, 9, 6, "a"),
+                               rand_seq(rng, 7, 6, "b")], model)
+        path = tmp_path / "m.mcbn"
+        save_model(model, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_roundtrip_keeps_an_untrained_site(self, tmp_path):
         rng = np.random.default_rng(19)

@@ -152,6 +152,27 @@ class TestAdam:
 
         assert run() == run()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_the_textbook_update_bit_for_bit(self, dtype):
+        # adam_step works in two buffers; every rounding must stay the same
+        rng = np.random.default_rng(8)
+        p = Parameter(rng.normal(size=(5, 7)).astype(dtype), "p")
+        value, m, v = p.value.copy(), p.m.copy(), p.v.copy()
+        cfg = AdamConfig(lr=3e-3)
+        b1, b2 = cfg.beta1, cfg.beta2
+        for t in range(1, 8):
+            g = (rng.normal(size=(5, 7)) * 10.0 ** rng.integers(-6, 3)
+                 ).astype(dtype)
+            p.grad[...] = g
+            adam_step([p], cfg)
+            m = m * b1 + (1.0 - b1) * g
+            v = v * b2 + (g * g) * (1.0 - b2)
+            value -= cfg.lr * (m / (1.0 - b1 ** t)) / (
+                np.sqrt(v / (1.0 - b2 ** t)) + cfg.eps_hat)
+            for got, want in ((p.value, value), (p.m, m), (p.v, v)):
+                assert got.dtype == dtype
+                assert got.tobytes() == want.tobytes()
+
     def test_non_finite_gradient(self):
         p = Parameter(np.zeros(2), "p")
         p.grad[:] = [np.nan, 0.0]
