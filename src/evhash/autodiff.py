@@ -1,14 +1,12 @@
 """Minimal reverse-mode differentiation on numpy arrays.
 
-This is not a general autograd: it supports exactly the operations the
-recurrent autoencoder and its losses need. Graphs are built eagerly by
-the ops below; ``backward`` walks the tape iteratively (no recursion) and
-accumulates gradients into leaves.
-
-Ops are small on purpose. The BN-LSTM layers, which dominate training,
-are not built from them: ``model`` runs each layer as one node with a
-hand-written backward pass over a packed batch, so a training step's
-tape holds a few nodes per layer plus the per-item loss terms.
+This is not a general autograd. A node is a value plus a hand-written
+backward function; ``backward`` walks the tape iteratively (no
+recursion) and accumulates gradients into leaves. This module holds the
+tape itself and the few generic ops the model needs between its layers.
+The BN-LSTM layers (``model``) and the three loss terms (``losses``) are
+each one node over a packed batch, so a training step's tape holds a few
+nodes per layer plus one per loss term, whatever the batch size.
 """
 
 from __future__ import annotations
@@ -85,39 +83,10 @@ def val(x):
     return x.value if isinstance(x, Tensor) else x
 
 
-# -- arithmetic ---------------------------------------------------------
+# -- ops -----------------------------------------------------------------
 #
-# Every op accepts Tensor or ndarray operands. With no Tensor among them
-# it reduces to plain numpy, which is the inference fast path.
-
-
-def _unbroadcast(g, shape):
-    """Sum ``g`` down to ``shape`` (inverse of numpy broadcasting)."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
-def add(a, b):
-    ta, tb = isinstance(a, Tensor), isinstance(b, Tensor)
-    if not (ta or tb):
-        return a + b
-    av, bv = val(a), val(b)
-    out_v = av + bv
-
-    def bwd(g):
-        if ta:
-            _buf(a)[...] += _unbroadcast(g, av.shape)
-        if tb:
-            _buf(b)[...] += _unbroadcast(g, bv.shape)
-
-    return Tensor(out_v, tuple(x for x in (a, b) if isinstance(x, Tensor)), bwd)
+# Every op accepts a Tensor or an ndarray. Given no Tensor it reduces to
+# plain numpy, which is the inference fast path.
 
 
 def addn(tensors):
@@ -132,63 +101,6 @@ def addn(tensors):
             _buf(t)[...] += g
 
     return Tensor(np.asarray(total), tuple(live), bwd)
-
-
-def sub(a, b):
-    ta, tb = isinstance(a, Tensor), isinstance(b, Tensor)
-    if not (ta or tb):
-        return a - b
-    av, bv = val(a), val(b)
-    out_v = av - bv
-
-    def bwd(g):
-        if ta:
-            _buf(a)[...] += _unbroadcast(g, av.shape)
-        if tb:
-            _buf(b)[...] -= _unbroadcast(g, bv.shape)
-
-    return Tensor(out_v, tuple(x for x in (a, b) if isinstance(x, Tensor)), bwd)
-
-
-def mul(a, b):
-    ta, tb = isinstance(a, Tensor), isinstance(b, Tensor)
-    if not (ta or tb):
-        return a * b
-    av, bv = val(a), val(b)
-    out_v = av * bv
-
-    def bwd(g):
-        if ta:
-            _buf(a)[...] += _unbroadcast(g * bv, av.shape)
-        if tb:
-            _buf(b)[...] += _unbroadcast(g * av, bv.shape)
-
-    return Tensor(out_v, tuple(x for x in (a, b) if isinstance(x, Tensor)), bwd)
-
-
-def scale(a, c):
-    """a * c for a python/numpy constant c."""
-    if not isinstance(a, Tensor):
-        return a * c
-
-    def bwd(g):
-        _buf(a)[...] += g * c
-
-    return Tensor(a.value * c, (a,), bwd)
-
-
-def square(a):
-    if not isinstance(a, Tensor):
-        return a * a
-    av = a.value
-
-    def bwd(g):
-        _buf(a)[...] += 2.0 * av * g
-
-    return Tensor(av * av, (a,), bwd)
-
-
-# -- nonlinearities -----------------------------------------------------
 
 
 def arctanh_clamped(a, margin=1e-6):
@@ -212,36 +124,6 @@ def arctanh_clamped(a, margin=1e-6):
     return Tensor(out_v, (a,), bwd)
 
 
-# -- reductions ---------------------------------------------------------
-
-
-def sum_all(a):
-    if not isinstance(a, Tensor):
-        return np.asarray(a).sum()
-    av = a.value
-
-    def bwd(g):
-        _buf(a)[...] += g
-
-    return Tensor(np.asarray(av.sum()), (a,), bwd)
-
-
-def wsum(a, w):
-    """Scalar sum(a * w) for a constant weight array w (broadcastable)."""
-    av = val(a)
-    out_v = np.asarray((av * w).sum())
-    if not isinstance(a, Tensor):
-        return out_v
-
-    def bwd(g):
-        _buf(a)[...] += g * np.broadcast_to(w, av.shape)
-
-    return Tensor(out_v, (a,), bwd)
-
-
-# -- row plumbing (ragged batches) --------------------------------------
-
-
 def gather_rows(a, idx):
     """a[idx] for an integer array of row indices (repeats allowed)."""
     av = val(a)
@@ -251,29 +133,5 @@ def gather_rows(a, idx):
 
     def bwd(g):
         np.add.at(_buf(a), idx, g)
-
-    return Tensor(out_v, (a,), bwd)
-
-
-def slice_rows(a, start, stop):
-    av = val(a)
-    out_v = av[start:stop]
-    if not isinstance(a, Tensor):
-        return out_v
-
-    def bwd(g):
-        _buf(a)[start:stop] += g
-
-    return Tensor(out_v, (a,), bwd)
-
-
-def slice_cols(a, start, stop):
-    av = val(a)
-    out_v = av[:, start:stop]
-    if not isinstance(a, Tensor):
-        return out_v
-
-    def bwd(g):
-        _buf(a)[:, start:stop] += g
 
     return Tensor(out_v, (a,), bwd)

@@ -1,8 +1,11 @@
 """Training objective: reconstruction + gate regularization + code
 diversity, optimized with Adam.
 
-All three component losses accept either plain arrays or tape tensors,
-so the same definitions serve the trainer and the tests.
+Training builds each term as one tape node over the packed batch
+(:func:`recon_loss_packed`, :func:`memory_loss_packed`,
+:func:`diversity_loss_packed`), each with a hand-written backward pass.
+:func:`recon_loss`, :func:`memory_loss` and :func:`diversity_loss` give
+one item's or one batch's value from the same kernels.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from .errors import (
     ShapeMismatch,
 )
 from .ingest import FeatureSequence
-from .model import (Autoencoder, _adjacent_hamming, forward_batch_train,
-                    prepare_inputs, save_model)
+from .model import (Autoencoder, Layout, forward_batch_train, prepare_inputs,
+                    save_model)
 from .numerics import AdamConfig, adam_step
 
 
@@ -62,14 +65,15 @@ class TrainConfig:
 def recon_loss(recon, target, L: int):
     """Squared reconstruction error, scaled by 1/(L*M).
 
-    The scale uses the hash length L, not the feature dimension.
+    The scale uses the hash length L, not the feature dimension. This is
+    :func:`recon_loss_packed` over one item.
     """
     rv, tv = val(recon), val(target)
     if rv.shape != tv.shape:
         raise ShapeMismatch(f"reconstruction {rv.shape} vs target {tv.shape}")
     m = rv.shape[0]
-    return ad.scale(ad.sum_all(ad.square(ad.sub(recon, target))),
-                    1.0 / (L * m))
+    return recon_loss_packed(recon, tv, np.arange(m),
+                             np.full(m, 1.0 / (L * m)))[0]
 
 
 def memory_loss(gates, d_series, th: int, L: int):
@@ -83,30 +87,17 @@ def memory_loss(gates, d_series, th: int, L: int):
     complementary term sum((1-f^2) + (1-o^2) + i^2) applies. Each term is
     multiplied by d_t (a constant: no gradient flows through it) and the
     total is scaled by 1/(3 * L^2 * M_e), which bounds the loss to [0, 1].
+    Training computes the same value with :func:`memory_loss_packed`.
     """
     f, i, o = gates
-    m_e = val(f).shape[0]
-    d_series = np.asarray(d_series, dtype=np.float64)
+    m_e = f.shape[0]
+    d_series = np.asarray(d_series)
     if d_series.shape[0] != m_e - 1:
         raise LengthMismatch(
             f"{m_e} gate steps need {m_e - 1} distances, got {d_series.shape[0]}")
-    if m_e == 1:
-        return np.asarray(0.0)
-    ft = ad.slice_rows(f, 0, m_e - 1)
-    it = ad.slice_rows(i, 0, m_e - 1)
-    ot = ad.slice_rows(o, 0, m_e - 1)
-    transition = ad.addn([
-        ad.square(ft),
-        ad.square(ot),
-        ad.square(ad.sub(1.0, it)),
-    ])
-    within = ad.add(
-        ad.sub(2.0, ad.add(ad.square(ft), ad.square(ot))),
-        ad.square(it))
-    is_trans = (d_series >= th)
-    w_trans = (d_series * is_trans)[:, None] / (3.0 * L * L * m_e)
-    w_within = (d_series * ~is_trans)[:, None] / (3.0 * L * L * m_e)
-    return ad.add(ad.wsum(transition, w_trans), ad.wsum(within, w_within))
+    change, cont = _memory_terms(f[:-1], i[:-1], o[:-1], d_series, th, L,
+                                 m_e)[2:]
+    return np.asarray(change.sum() + cont.sum())
 
 
 def diversity_loss(codes_list, L: int):
@@ -115,22 +106,18 @@ def diversity_loss(codes_list, L: int):
     ``codes_list`` holds one (M_e_j, L) matrix of +-1 codes per video.
     For each of the B(B-1)/2 pairs, similarity 1 - Hamming/L is averaged
     over the shared timesteps; the result is the mean over pairs, in
-    [0, 1]. Identical codes score 1, complementary codes 0.
+    [0, 1]. Identical codes score 1, complementary codes 0. Training
+    computes the same value with :func:`diversity_loss_packed`.
     """
     b = len(codes_list)
     if b < 2:
         raise BatchTooSmall("diversity needs at least 2 videos")
-    terms = []
-    for j in range(b - 1):
-        for k in range(j + 1, b):
-            cj, ck = codes_list[j], codes_list[k]
-            t = min(val(cj).shape[0], val(ck).shape[0])
-            dot = ad.sum_all(ad.mul(ad.slice_rows(cj, 0, t),
-                                    ad.slice_rows(ck, 0, t)))
-            # mean over t of (L + <b_j, b_k>) / (2L) == mean of 1 - H/L
-            terms.append(ad.scale(ad.add(dot, float(t * L)),
-                                  1.0 / (2.0 * L * t)))
-    return ad.scale(ad.addn(terms), 2.0 / (b * (b - 1)))
+    lengths = np.array([len(c) for c in codes_list], dtype=np.int64)
+    padded = np.zeros((b, int(lengths.max()), L),
+                      np.result_type(*codes_list))
+    for n, c in enumerate(codes_list):
+        padded[n, :len(c)] = c
+    return _diversity(padded, lengths, L)[0]
 
 
 def total_loss(recon_per_video, memory_per_video, diversity) -> LossBreakdown:
@@ -143,7 +130,40 @@ def total_loss(recon_per_video, memory_per_video, diversity) -> LossBreakdown:
                          total=recon + memory + diversity)
 
 
-# -- trainer ----------------------------------------------------------------
+# -- loss kernels and packed nodes ---------------------------------------
+
+
+def _memory_terms(f, i, o, d, th: int, L: int, m_e):
+    """Per transition row, the (n, 1) float64 weights of its change and
+    its continuation term (d_t / (3 L^2 M_e) on the one that applies, 0
+    on the other), then both weighted terms entry by entry."""
+    d = d.astype(np.float64)
+    is_change = d >= th
+    den = 3.0 * L * L * m_e
+    w_change = (d * is_change / den)[:, None]
+    w_cont = (d * ~is_change / den)[:, None]
+    fo = f * f + o * o
+    u = 1.0 - i
+    return (w_change, w_cont, (fo + u * u) * w_change,
+            ((2.0 - fo) + i * i) * w_cont)
+
+
+def _diversity(codes, lengths, L: int):
+    """Diversity of zero-padded (B, T, L) codes whose items have the
+    given lengths, with each pair's weight for the backward pass.
+
+    The pair dots are exact integers; the pair terms are summed in pair
+    order, one after another, in the codes' dtype.
+    """
+    b = len(lengths)
+    j, k = np.triu_indices(b, 1)
+    t = np.minimum(lengths[j], lengths[k])
+    dt = codes.dtype.type
+    dots = np.einsum("jtl,ktl->jk", codes, codes)[j, k]
+    # mean over t of (L + <b_j, b_k>) / (2L) == mean of 1 - H/L
+    pair_w = (1.0 / (2.0 * L * t)).astype(dt)
+    terms = (dots + (t * L).astype(dt)) * pair_w
+    return np.add.accumulate(terms)[-1] * dt(2.0 / (b * (b - 1))), pair_w
 
 
 def recon_loss_packed(recon, target, rows, row_w):
@@ -164,6 +184,78 @@ def recon_loss_packed(recon, target, rows, row_w):
         ad._buf(recon)[rows] += diff
 
     return ad.Tensor(out_v, (recon,), bwd), row_sq
+
+
+def memory_loss_packed(gates, codes, enc: Layout, th: int, L: int):
+    """The batch mean of :func:`memory_loss` as one node over the packed
+    gates (f, i, o side by side) of the encoder layout ``enc``.
+
+    The distances come from the +-1 ``codes`` and carry no gradient.
+    Returns the loss and each item's memory loss. With no transition in
+    the batch the loss is a plain 0.
+    """
+    gv, cv = val(gates), val(codes)
+    b = len(enc.lengths)
+    # item-major transitions: item n's steps 0..M_e-2, each with its next
+    n_trans = enc.lengths - 1
+    bounds = np.concatenate(([0], np.cumsum(n_trans)))
+    item = np.repeat(np.arange(b), n_trans)
+    step = np.arange(bounds[-1]) - bounds[item]
+    rows = enc.offsets[step] + item
+    d = ((cv[rows] > 0) != (cv[enc.offsets[step + 1] + item] > 0)).sum(axis=1)
+    gate_rows = gv[rows]
+    f, i, o = gate_rows[:, :L], gate_rows[:, L:2 * L], gate_rows[:, 2 * L:]
+    w_change, w_cont, change, cont = _memory_terms(f, i, o, d, th, L,
+                                                   enc.lengths[item])
+    # each item's block is summed on its own, as memory_loss sums it: a
+    # padded block would be grouped, and rounded, differently
+    per_item = [change[a:z].sum() + cont[a:z].sum()
+                for a, z in zip(bounds[:-1], bounds[1:])]
+    out_v = np.asarray(sum(per_item) * (1.0 / b))
+    if not len(rows):
+        return out_v, per_item
+
+    def bwd(g):
+        gb = g * (1.0 / b)
+        gc = (gb * w_change).astype(gv.dtype)
+        gw = (gb * w_cont).astype(gv.dtype)
+        # a row has one nonzero weight at most, so each difference and
+        # product below rounds as the two terms' gradients summed would
+        dg = np.empty_like(gate_rows)
+        np.multiply(2.0 * f, gc - gw, out=dg[:, :L])
+        np.subtract((2.0 * i) * gw, (2.0 * (1.0 - i)) * gc,
+                    out=dg[:, L:2 * L])
+        np.multiply(2.0 * o, gc - gw, out=dg[:, 2 * L:])
+        ad._buf(gates)[rows] += dg
+
+    return ad.Tensor(out_v, (gates,), bwd), per_item
+
+
+def diversity_loss_packed(codes, enc: Layout, L: int):
+    """:func:`diversity_loss` as one node over the packed +-1 ``codes``
+    of the encoder layout ``enc``."""
+    cv = val(codes)
+    b = len(enc.lengths)
+    step, item = enc.steps_items()
+    padded = np.zeros((b, int(enc.lengths[0]), L), cv.dtype)
+    padded[item, step] = cv
+    out_v, pair_w = _diversity(padded, enc.lengths, L)
+    j, k = np.triu_indices(b, 1)
+
+    def bwd(g):
+        w = np.zeros((b, b), cv.dtype)
+        w[j, k] = w[k, j] = g * cv.dtype.type(2.0 / (b * (b - 1))) * pair_w
+        # partners one at a time, in index order: the order the per-pair
+        # reference rounds in, which a matmul need not keep
+        acc = np.zeros_like(padded)
+        for n in range(b):
+            acc += w[:, n, None, None] * padded[n]
+        ad._buf(codes)[...] += acc[item, step]
+
+    return ad.Tensor(np.asarray(out_v), (codes,), bwd)
+
+
+# -- trainer ----------------------------------------------------------------
 
 
 def batch_loss(model: Autoencoder, seqs: list[FeatureSequence], th: int,
@@ -193,25 +285,9 @@ def batch_loss(model: Autoencoder, seqs: list[FeatureSequence], th: int,
         fwd.recon, inputs, fwd.dec.offsets[step] + item, row_w)
     recon_vals = np.bincount(item, weights=row_sq, minlength=b) / (L * m_lens)
 
-    per_video_mem = []
-    mem_vals = []
-    codes_items = []
-    for i in range(b):
-        rows = fwd.enc.item_rows(i)
-        codes = ad.gather_rows(fwd.codes, rows)
-        codes_items.append(codes)
-        d_series = _adjacent_hamming(val(codes) > 0)
-        g = ad.gather_rows(fwd.gates, rows)
-        gates = tuple(ad.slice_cols(g, j * L, (j + 1) * L) for j in range(3))
-        ml = memory_loss(gates, d_series, th, L)
-        per_video_mem.append(ml)
-        mem_vals.append(float(val(ml)))
-    div = diversity_loss(codes_items, L)
-    total = ad.addn([
-        recon_term,
-        ad.scale(ad.addn(per_video_mem), 1.0 / b),
-        div,
-    ])
+    mem, mem_vals = memory_loss_packed(fwd.gates, fwd.codes, fwd.enc, th, L)
+    div = diversity_loss_packed(fwd.codes, fwd.enc, L)
+    total = ad.addn([recon_term, mem, div])
     breakdown = total_loss(recon_vals, mem_vals, float(val(div)))
     return total, breakdown
 

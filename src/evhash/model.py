@@ -537,7 +537,6 @@ class BatchForward:
     the tape has been backpropagated and the model runs forward again.
     """
 
-    model: Autoencoder
     inp: Layout
     enc: Layout
     dec: Layout
@@ -545,18 +544,6 @@ class BatchForward:
     gates: Tensor
     prebin: Tensor
     recon: Tensor
-
-    def encode_results(self):
-        """Per item, its EncodeResult."""
-        codes, gates = val(self.codes), val(self.gates)
-        rows = [self.enc.item_rows(i) for i in range(len(self.inp.lengths))]
-        return [_encode_result(codes[r], gates[r], self.model.L) for r in rows]
-
-    def reconstructions(self):
-        """Per item, its first M_i decoder rows (the cut to length M)."""
-        rv = val(self.recon)
-        return [rv[self.dec.item_rows(i, int(m))]
-                for i, m in enumerate(self.inp.lengths)]
 
 
 def _encoder(model: Autoencoder, x, inp: Layout, stats: str):
@@ -627,7 +614,7 @@ def forward_batch_train(seqs: list[FeatureSequence], model: Autoencoder,
     dec, recon = _decoder(model, codes, enc, stats)
 
     model.max_input_len = max(model.max_input_len, int(lengths[0]))
-    return BatchForward(model, inp, enc, dec, codes, gates, prebin, recon)
+    return BatchForward(inp, enc, dec, codes, gates, prebin, recon)
 
 
 # -- inference ---------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Differentiable building blocks: per-timestep batch normalization,
+"""Numerics under the model and its training: per-timestep BN
+statistics and the batch-norm kernels the fused layer runs,
 straight-through binarization, Adam, and a finite-difference checker.
 """
 
@@ -8,7 +9,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, val
-from .errors import NonDeterministicLoss, NonFiniteGradient, ShapeMismatch
+from .errors import NonDeterministicLoss, NonFiniteGradient
 
 
 class Parameter(ad.Leaf):
@@ -55,11 +56,6 @@ class BNSiteStats:
         rows = self.stats[:steps] if len(self.stats) else self._initial(1)
         return rows[:, 0], rows[:, 1]
 
-    def stats_for(self, t: int):
-        """(mean, var) used in inference at timestep t."""
-        mean, var = self.running(t)
-        return mean[-1], var[-1]
-
     def update(self, t: int, block):
         """Momentum-blend an (n, 2, dim) block of batch (mean, var) rows
         into steps t..t+n-1, first extending the site with (0, 1) rows."""
@@ -94,8 +90,8 @@ def bn_normalize(x, eps, out=None):
 
     Returns (xhat, mean, var, inv) with the population variance and
     inv = 1 / sqrt(var + eps). ``out`` may be ``x`` itself, which
-    normalizes in place. Shared by the per-step tape ops below and the
-    fused layer in ``model``.
+    normalizes in place. The fused layer in ``model`` runs it at every
+    BN site.
     """
     n = x.shape[0]
     mu = x.sum(axis=0) / n
@@ -106,18 +102,10 @@ def bn_normalize(x, eps, out=None):
     return xhat, mu, var, inv
 
 
-def _bn_input_grad(g_xhat, xhat, inv):
-    """Gradient w.r.t. a batch-normalized input, given the gradient
-    w.r.t. its normalized value ``xhat``; it flows through the batch
-    mean and variance too."""
-    n = xhat.shape[0]
-    gx = np.einsum("bd,bd->d", g_xhat, xhat) / n
-    return bn_centered_grad(g_xhat - g_xhat.sum(axis=0) / n, xhat, gx, inv)
-
-
 def bn_centered_grad(g_centered, xhat, gx, scale, out=None):
-    """scale * (g_centered - xhat * gx): :func:`_bn_input_grad` for a
-    caller that already holds the batch sums.
+    """scale * (g_centered - xhat * gx): the gradient w.r.t. a
+    batch-normalized input, which flows through the batch mean and
+    variance too, for a caller that already holds the batch sums.
 
     ``g_centered`` is the gradient w.r.t. xhat minus its batch mean, ``gx``
     the batch mean of that gradient times xhat, and ``scale`` is inv
@@ -128,56 +116,6 @@ def bn_centered_grad(g_centered, xhat, gx, scale, out=None):
     np.subtract(g_centered, out, out=out)
     out *= scale
     return out
-
-
-def bn_transform(h, gamma, beta, stats: BNSiteStats, t: int, mode: str,
-                 update_stats: bool = True):
-    """beta + gamma * (h - mean) / sqrt(var + eps) over the batch axis.
-
-    ``mode='train'`` normalizes with the current batch's statistics (and
-    momentum-updates the running ones); gradients flow through the batch
-    mean and variance. ``mode='infer'`` applies the stored running
-    statistics for timestep ``t``. ``beta`` may be None for sites whose
-    shift is fixed at zero.
-    """
-    hv = val(h)
-    if hv.ndim != 2 or hv.shape[1] != stats.dim:
-        raise ShapeMismatch(
-            f"expected (batch, {stats.dim}) pre-activations, got {hv.shape}")
-    gv = val(gamma)
-    bv = None if beta is None else val(beta)
-
-    if mode == "infer":
-        mean, var = stats.stats_for(t)
-        inv = 1.0 / np.sqrt(var + stats.eps)
-        out = ad.mul(ad.sub(h, mean), ad.mul(gamma, inv))
-        if beta is not None:
-            out = ad.add(out, beta)
-        return out
-    if mode != "train":
-        raise ValueError(f"unknown mode {mode!r}")
-
-    xhat, mu, var, inv = bn_normalize(hv, stats.eps)
-    if update_stats:
-        stats.update(t, np.stack((mu, var))[None])
-    out_v = gv * xhat
-    if bv is not None:
-        out_v = out_v + bv
-    if not isinstance(h, Tensor) and not isinstance(gamma, Tensor) \
-            and not isinstance(beta, Tensor):
-        return out_v
-
-    parents = tuple(x for x in (h, gamma, beta) if isinstance(x, Tensor))
-
-    def bwd(g):
-        if isinstance(gamma, Tensor):
-            ad._buf(gamma)[...] += (g * xhat).sum(axis=0)
-        if isinstance(beta, Tensor):
-            ad._buf(beta)[...] += g.sum(axis=0)
-        if isinstance(h, Tensor):
-            ad._buf(h)[...] += _bn_input_grad(g * gv, xhat, inv)
-
-    return Tensor(out_v, parents, bwd)
 
 
 # -- straight-through binarization ---------------------------------------

@@ -1,9 +1,18 @@
-"""Step-by-step references of code that runs vectorized.
+"""Step-by-step and per-item references of code that runs vectorized.
+
+The small tape ops below (:func:`add`, :func:`mul`, :func:`wsum`, ...)
+each take a few lines of gradient; the references are built from them.
 
 ``evhash.model.bnlstm_layer`` runs a whole layer fused, with a
 hand-written backward pass, and folds running-mode BN into constants.
 The tests hold it to this per-step form, which advances one cell by one
-timestep from tape ops whose gradients are each a few lines.
+timestep (:func:`bnlstm_cell_step`, normalizing through
+:func:`bn_transform`).
+
+``evhash.losses.batch_loss`` builds each loss term as one node over the
+packed batch. :func:`batch_loss_per_item` builds the memory and
+diversity terms item by item and pair by pair from the small ops, and
+training must match it bit for bit.
 
 ``evhash.hashing.detect_event_ends`` tests its thresholds over the whole
 distance series at once; :func:`detect_event_ends_per_step` walks the
@@ -18,10 +27,219 @@ import numpy as np
 from scipy.special import expit
 
 from evhash import autodiff as ad
-from evhash.autodiff import Tensor, val
-from evhash.errors import ShapeMismatch
-from evhash.numerics import BNSiteStats, _bn_input_grad, bn_normalize, \
-    bn_transform
+from evhash.autodiff import Tensor, addn, gather_rows, val
+from evhash.errors import BatchTooSmall, LengthMismatch, ShapeMismatch
+from evhash.losses import recon_loss_packed, total_loss
+from evhash.model import _adjacent_hamming, forward_batch_train, prepare_inputs
+from evhash.numerics import BNSiteStats, bn_centered_grad, bn_normalize
+
+
+# -- small tape ops -------------------------------------------------------
+#
+# Every op accepts Tensor or ndarray operands. With no Tensor among them
+# it reduces to plain numpy.
+
+
+def _unbroadcast(g, shape):
+    """Sum ``g`` down to ``shape`` (inverse of numpy broadcasting)."""
+    if g.shape == shape:
+        return g
+    extra = g.ndim - len(shape)
+    if extra > 0:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g
+
+
+def add(a, b):
+    ta, tb = isinstance(a, Tensor), isinstance(b, Tensor)
+    if not (ta or tb):
+        return a + b
+    av, bv = val(a), val(b)
+    out_v = av + bv
+
+    def bwd(g):
+        if ta:
+            ad._buf(a)[...] += _unbroadcast(g, av.shape)
+        if tb:
+            ad._buf(b)[...] += _unbroadcast(g, bv.shape)
+
+    return Tensor(out_v, tuple(x for x in (a, b) if isinstance(x, Tensor)), bwd)
+
+
+def sub(a, b):
+    ta, tb = isinstance(a, Tensor), isinstance(b, Tensor)
+    if not (ta or tb):
+        return a - b
+    av, bv = val(a), val(b)
+    out_v = av - bv
+
+    def bwd(g):
+        if ta:
+            ad._buf(a)[...] += _unbroadcast(g, av.shape)
+        if tb:
+            ad._buf(b)[...] -= _unbroadcast(g, bv.shape)
+
+    return Tensor(out_v, tuple(x for x in (a, b) if isinstance(x, Tensor)), bwd)
+
+
+def mul(a, b):
+    ta, tb = isinstance(a, Tensor), isinstance(b, Tensor)
+    if not (ta or tb):
+        return a * b
+    av, bv = val(a), val(b)
+    out_v = av * bv
+
+    def bwd(g):
+        if ta:
+            ad._buf(a)[...] += _unbroadcast(g * bv, av.shape)
+        if tb:
+            ad._buf(b)[...] += _unbroadcast(g * av, bv.shape)
+
+    return Tensor(out_v, tuple(x for x in (a, b) if isinstance(x, Tensor)), bwd)
+
+
+def scale(a, c):
+    """a * c for a python/numpy constant c."""
+    if not isinstance(a, Tensor):
+        return a * c
+
+    def bwd(g):
+        ad._buf(a)[...] += g * c
+
+    return Tensor(a.value * c, (a,), bwd)
+
+
+def square(a):
+    if not isinstance(a, Tensor):
+        return a * a
+    av = a.value
+
+    def bwd(g):
+        ad._buf(a)[...] += 2.0 * av * g
+
+    return Tensor(av * av, (a,), bwd)
+
+
+def sum_all(a):
+    if not isinstance(a, Tensor):
+        return np.asarray(a).sum()
+    av = a.value
+
+    def bwd(g):
+        ad._buf(a)[...] += g
+
+    return Tensor(np.asarray(av.sum()), (a,), bwd)
+
+
+def wsum(a, w):
+    """Scalar sum(a * w) for a constant weight array w (broadcastable)."""
+    av = val(a)
+    out_v = np.asarray((av * w).sum())
+    if not isinstance(a, Tensor):
+        return out_v
+
+    def bwd(g):
+        ad._buf(a)[...] += g * np.broadcast_to(w, av.shape)
+
+    return Tensor(out_v, (a,), bwd)
+
+
+def slice_rows(a, start, stop):
+    av = val(a)
+    out_v = av[start:stop]
+    if not isinstance(a, Tensor):
+        return out_v
+
+    def bwd(g):
+        ad._buf(a)[start:stop] += g
+
+    return Tensor(out_v, (a,), bwd)
+
+
+def slice_cols(a, start, stop):
+    av = val(a)
+    out_v = av[:, start:stop]
+    if not isinstance(a, Tensor):
+        return out_v
+
+    def bwd(g):
+        ad._buf(a)[:, start:stop] += g
+
+    return Tensor(out_v, (a,), bwd)
+
+
+# -- batch normalization, one timestep -----------------------------------
+
+
+def stats_for(stats: BNSiteStats, t: int):
+    """(mean, var) a site applies in inference at timestep t."""
+    mean, var = stats.running(t)
+    return mean[-1], var[-1]
+
+
+def _bn_input_grad(g_xhat, xhat, inv):
+    """Gradient w.r.t. a batch-normalized input, given the gradient
+    w.r.t. its normalized value ``xhat``; it flows through the batch
+    mean and variance too."""
+    n = xhat.shape[0]
+    gx = np.einsum("bd,bd->d", g_xhat, xhat) / n
+    return bn_centered_grad(g_xhat - g_xhat.sum(axis=0) / n, xhat, gx, inv)
+
+
+def bn_transform(h, gamma, beta, stats: BNSiteStats, t: int, mode: str,
+                 update_stats: bool = True):
+    """beta + gamma * (h - mean) / sqrt(var + eps) over the batch axis.
+
+    ``mode='train'`` normalizes with the current batch's statistics (and
+    momentum-updates the running ones); gradients flow through the batch
+    mean and variance. ``mode='infer'`` applies the stored running
+    statistics for timestep ``t``. ``beta`` may be None for sites whose
+    shift is fixed at zero.
+    """
+    hv = val(h)
+    if hv.ndim != 2 or hv.shape[1] != stats.dim:
+        raise ShapeMismatch(
+            f"expected (batch, {stats.dim}) pre-activations, got {hv.shape}")
+    gv = val(gamma)
+    bv = None if beta is None else val(beta)
+
+    if mode == "infer":
+        mean, var = stats_for(stats, t)
+        inv = 1.0 / np.sqrt(var + stats.eps)
+        out = mul(sub(h, mean), mul(gamma, inv))
+        if beta is not None:
+            out = add(out, beta)
+        return out
+    if mode != "train":
+        raise ValueError(f"unknown mode {mode!r}")
+
+    xhat, mu, var, inv = bn_normalize(hv, stats.eps)
+    if update_stats:
+        stats.update(t, np.stack((mu, var))[None])
+    out_v = gv * xhat
+    if bv is not None:
+        out_v = out_v + bv
+    if not isinstance(h, Tensor) and not isinstance(gamma, Tensor) \
+            and not isinstance(beta, Tensor):
+        return out_v
+
+    parents = tuple(x for x in (h, gamma, beta) if isinstance(x, Tensor))
+
+    def bwd(g):
+        if isinstance(gamma, Tensor):
+            ad._buf(gamma)[...] += (g * xhat).sum(axis=0)
+        if isinstance(beta, Tensor):
+            ad._buf(beta)[...] += g.sum(axis=0)
+        if isinstance(h, Tensor):
+            ad._buf(h)[...] += _bn_input_grad(g * gv, xhat, inv)
+
+    return Tensor(out_v, parents, bwd)
+
+
+# -- one BN-LSTM cell, one timestep --------------------------------------
 
 
 def matmul(a, b):
@@ -63,8 +281,8 @@ def bn2_add(a, b, gamma_a, gamma_b, bias,
     ga, gb, bias_v = val(gamma_a), val(gamma_b), val(bias)
 
     if mode == "infer":
-        ma, va_ = stats_a.stats_for(t)
-        mb, vb_ = stats_b.stats_for(t)
+        ma, va_ = stats_for(stats_a, t)
+        mb, vb_ = stats_for(stats_b, t)
         out = (av - ma) * (ga / np.sqrt(va_ + stats_a.eps)) \
             + (bv - mb) * (gb / np.sqrt(vb_ + stats_b.eps)) + bias_v
         if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
@@ -171,10 +389,84 @@ def bnlstm_cell_step(x_t, h_prev, c_prev, cell, t: int, mode: str,
     bn_c = bn_transform(c_t, gc, bc, cell.site_c, t, mode, update_stats)
     h_t = _cell_out(pre, bn_c, cell.d_h)
     d = cell.d_h
-    gates = (sigmoid(ad.slice_cols(pre, 0, d)),
-             sigmoid(ad.slice_cols(pre, d, 2 * d)),
-             sigmoid(ad.slice_cols(pre, 3 * d, 4 * d)))
+    gates = (sigmoid(slice_cols(pre, 0, d)),
+             sigmoid(slice_cols(pre, d, 2 * d)),
+             sigmoid(slice_cols(pre, 3 * d, 4 * d)))
     return h_t, c_t, gates
+
+
+# -- the loss terms, item by item ---------------------------------------
+
+
+def memory_loss_graph(gates, d_series, th: int, L: int):
+    """``evhash.losses.memory_loss`` of one item on the tape, from the
+    small ops."""
+    f, i, o = gates
+    m_e = val(f).shape[0]
+    d_series = np.asarray(d_series, dtype=np.float64)
+    if d_series.shape[0] != m_e - 1:
+        raise LengthMismatch(
+            f"{m_e} gate steps need {m_e - 1} distances, got {d_series.shape[0]}")
+    if m_e == 1:
+        return np.asarray(0.0)
+    ft = slice_rows(f, 0, m_e - 1)
+    it = slice_rows(i, 0, m_e - 1)
+    ot = slice_rows(o, 0, m_e - 1)
+    transition = addn([square(ft), square(ot), square(sub(1.0, it))])
+    within = add(sub(2.0, add(square(ft), square(ot))), square(it))
+    is_trans = (d_series >= th)
+    w_trans = (d_series * is_trans)[:, None] / (3.0 * L * L * m_e)
+    w_within = (d_series * ~is_trans)[:, None] / (3.0 * L * L * m_e)
+    return add(wsum(transition, w_trans), wsum(within, w_within))
+
+
+def diversity_loss_graph(codes_list, L: int):
+    """``evhash.losses.diversity_loss`` on the tape, one pair at a time."""
+    b = len(codes_list)
+    if b < 2:
+        raise BatchTooSmall("diversity needs at least 2 videos")
+    terms = []
+    for j in range(b - 1):
+        for k in range(j + 1, b):
+            cj, ck = codes_list[j], codes_list[k]
+            t = min(val(cj).shape[0], val(ck).shape[0])
+            dot = sum_all(mul(slice_rows(cj, 0, t), slice_rows(ck, 0, t)))
+            terms.append(scale(add(dot, float(t * L)), 1.0 / (2.0 * L * t)))
+    return scale(addn(terms), 2.0 / (b * (b - 1)))
+
+
+def batch_loss_per_item(model, seqs, th: int, update_stats: bool = True):
+    """``evhash.losses.batch_loss`` with the memory and diversity terms
+    built item by item and pair by pair: 6 nodes per pair and about 20
+    per item."""
+    inputs = prepare_inputs(seqs, model.dtype)
+    fwd = forward_batch_train(seqs, model, update_stats=update_stats,
+                              inputs=inputs)
+    L, b = model.L, len(seqs)
+    m_lens = fwd.inp.lengths
+    step, item = fwd.inp.steps_items()
+    row_w = 1.0 / (b * L * m_lens[item].astype(np.float64))
+    recon_term, row_sq = recon_loss_packed(
+        fwd.recon, inputs, fwd.dec.offsets[step] + item, row_w)
+    recon_vals = np.bincount(item, weights=row_sq, minlength=b) / (L * m_lens)
+
+    per_video_mem, mem_vals, codes_items = [], [], []
+    for i in range(b):
+        rows = fwd.enc.item_rows(i)
+        codes = gather_rows(fwd.codes, rows)
+        codes_items.append(codes)
+        d_series = _adjacent_hamming(val(codes) > 0)
+        g = gather_rows(fwd.gates, rows)
+        gates = tuple(slice_cols(g, j * L, (j + 1) * L) for j in range(3))
+        ml = memory_loss_graph(gates, d_series, th, L)
+        per_video_mem.append(ml)
+        mem_vals.append(float(val(ml)))
+    div = diversity_loss_graph(codes_items, L)
+    total = addn([recon_term, scale(addn(per_video_mem), 1.0 / b), div])
+    return total, total_loss(recon_vals, mem_vals, float(val(div)))
+
+
+# -- event detection and pooling, one at a time ---------------------------
 
 
 def detect_event_ends_per_step(d_series, cfg, M_e):

@@ -144,17 +144,18 @@ def test_c02_gradient_check_full_model():
 
 
 def test_c03_bn_training_statistics():
-    from evhash.numerics import BNSiteStats, bn_transform
+    # bn_normalize is the normalization every BN site of the fused layer
+    # runs in training, with the sites' default eps
+    from evhash.numerics import BNSiteStats, bn_normalize
 
     rng = np.random.default_rng(3)
     worst_mean, worst_var = 0.0, 0.0
     for trial in range(50):
         d = int(rng.integers(2, 40))
         b = int(rng.integers(16, 64))
-        t = int(rng.integers(1, 12))
-        stats = BNSiteStats(d)
+        rng.integers(1, 12)  # drawn to keep the criterion's 50 batches fixed
         h = rng.normal(rng.normal(), rng.uniform(0.8, 3.0), size=(b, d))
-        out = bn_transform(h, np.ones(d), np.zeros(d), stats, t, "train")
+        out = bn_normalize(h, BNSiteStats(d).eps)[0]
         worst_mean = max(worst_mean, float(np.abs(out.mean(axis=0)).max()))
         worst_var = max(worst_var, float(np.abs(out.var(axis=0) - 1.0).max()))
     assert worst_mean <= 1e-9
@@ -354,9 +355,9 @@ TOY_LR = 3e-3
 TOY_EPOCHS = 200
 
 
-@pytest.mark.slow
-def test_c10_toy_end_to_end():
-    t0 = time.perf_counter()
+def _toy_training(epochs: int = TOY_EPOCHS):
+    """Criterion 10's videos and training: (videos, ids, norm stats,
+    trained model, per-epoch loss log)."""
     videos = [synth_video(TOY_SEED * 1000 + i, d)
               for i, d in enumerate(TOY_DURATIONS)]
     ids = [f"vid{i:04d}" for i in range(len(videos))]
@@ -366,9 +367,16 @@ def test_c10_toy_end_to_end():
 
     model = build_model(D=1024, L=TOY_L, encoder_dims=TOY_ENC_DIMS,
                         seed=TOY_SEED, dtype=np.float32)
-    cfg = TrainConfig(batch_size=20, epochs=TOY_EPOCHS, lr=TOY_LR,
+    cfg = TrainConfig(batch_size=20, epochs=epochs, lr=TOY_LR,
                       memory_threshold=TOY_TH, seed=TOY_SEED)
     model, log = train(train_set, cfg, model)
+    return videos, ids, stats, model, log
+
+
+@pytest.mark.slow
+def test_c10_toy_end_to_end():
+    t0 = time.perf_counter()
+    videos, ids, stats, model, log = _toy_training()
     ratio = log[-1].recon / log[0].recon
     assert ratio <= 0.5, (f"recon epoch1={log[0].recon:.3f} "
                           f"epoch{TOY_EPOCHS}={log[-1].recon:.3f} "

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from evhash import autodiff as ad
 from evhash.errors import BatchTooSmall, LengthMismatch, ShapeMismatch
 from evhash.ingest import FeatureSequence
 from evhash.losses import (
@@ -9,12 +10,16 @@ from evhash.losses import (
     batch_loss,
     diversity_loss,
     memory_loss,
+    memory_loss_packed,
     recon_loss,
     total_loss,
     train,
     write_loss_log,
 )
-from evhash.model import build_model, save_model
+from evhash.model import (_adjacent_hamming, build_model, forward_batch_train,
+                          save_model)
+from evhash.numerics import AdamConfig, adam_step
+from tests._reference import batch_loss_per_item, memory_loss_graph
 
 
 def memory_loss_oracle(f, i, o, d_series, th, L):
@@ -253,7 +258,6 @@ class TestWorkspaceReuse:
         return sets, models, cfgs
 
     def test_interleaved_training_matches_solo(self):
-        from evhash.model import forward_batch_train
         sets, makers, cfgs = self.setups()
         rounds = 3
         solo = []
@@ -287,3 +291,77 @@ class TestWorkspaceReuse:
 
         for a, b in zip(grads(True), grads(False)):
             np.testing.assert_array_equal(a, b)
+
+
+class TestPackedLossNodes:
+    """batch_loss builds the memory and diversity terms as one node each.
+    Training must match the per-item graph of the reference bit for bit,
+    which holds only while both nodes sum in the reference's order."""
+
+    # the ragged batch ends in 14 steps of 2 items and holds a 1-step
+    # item; its items' memory blocks span more than 128 entries, where
+    # numpy's pairwise sum would group a padded block differently
+    BATCHES = ((84, 84, 70, 61, 52, 40, 33, 25, 17, 9, 4, 1), (40,) * 12)
+
+    @staticmethod
+    def batch(lengths, dtype, D=16):
+        rng = np.random.default_rng(len(lengths) + lengths[0])
+        return [FeatureSequence(f"v{i}", rng.normal(size=(m, D)).astype(dtype),
+                                normalized=True)
+                for i, m in enumerate(lengths)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lengths", BATCHES)
+    def test_steps_equal_the_per_item_graph(self, lengths, dtype):
+        seqs = self.batch(lengths, dtype)
+        models = [build_model(D=16, L=16, encoder_dims=(12, 12, 16), seed=41,
+                              dtype=dtype) for _ in range(2)]
+        adams = [AdamConfig(lr=1e-2), AdamConfig(lr=1e-2)]
+        for _ in range(3):
+            steps = []
+            for loss_fn, model, adam in zip((batch_loss, batch_loss_per_item),
+                                            models, adams):
+                total, bd = loss_fn(model, seqs, 3)
+                total.backward()
+                steps.append((float(ad.val(total)), bd,
+                              [p.grad.copy() for p in model.parameters()]))
+                adam_step(model.parameters(), adam)
+            (got, got_bd, got_g), (want, want_bd, want_g) = steps
+            assert got == want
+            assert got_bd == want_bd
+            for a, b in zip(got_g, want_g):
+                np.testing.assert_array_equal(a, b)
+                np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+            for p, q in zip(*(m.parameters() for m in models)):
+                np.testing.assert_array_equal(p.value, q.value)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lengths", BATCHES)
+    def test_item_memory_losses_equal_the_per_item_graph(self, lengths,
+                                                         dtype):
+        # the gradients never see these sums, and the batch mean can hide
+        # a last-bit change in one item
+        L = 16
+        model = build_model(D=16, L=L, encoder_dims=(12, 12, L), seed=41,
+                            dtype=dtype)
+        fwd = forward_batch_train(self.batch(lengths, dtype), model,
+                                  update_stats=False)
+        got = memory_loss_packed(fwd.gates, fwd.codes, fwd.enc, 3, L)[1]
+        codes, gates = ad.val(fwd.codes), ad.val(fwd.gates)
+        want = []
+        for i in range(len(lengths)):
+            rows = fwd.enc.item_rows(i)
+            g = gates[rows]
+            want.append(memory_loss_graph(
+                (g[:, :L], g[:, L:2 * L], g[:, 2 * L:]),
+                _adjacent_hamming(codes[rows] > 0), 3, L))
+        assert [float(x) for x in got] == [float(x) for x in want]
+
+    def test_tape_size_does_not_grow_with_the_batch(self):
+        def inner_nodes(b):
+            model = build_model(D=6, L=4, encoder_dims=(5, 4, 3), seed=42)
+            seqs = self.batch(tuple(range(20, 20 - b, -1)), np.float64, D=6)
+            total, _ = batch_loss(model, seqs, 1, update_stats=False)
+            return sum(n._bwd is not None for n in ad._toposort(total))
+
+        assert inner_nodes(2) == inner_nodes(12)

