@@ -103,14 +103,18 @@ def addn(tensors):
     return Tensor(np.asarray(total), tuple(live), bwd)
 
 
-def arctanh_clamped(a, margin=1e-6):
-    """arctanh with inputs clipped to [-1+margin, 1-margin].
+ARCTANH_MARGIN = 1e-6
+
+
+def arctanh_clamped(a):
+    """arctanh with inputs clipped to [-1+margin, 1-margin], the margin
+    being ARCTANH_MARGIN.
 
     Clipping keeps the output finite; it never flips a sign. Clamped
     entries get zero gradient (the local function is constant there).
     """
     av = val(a)
-    lo, hi = -1.0 + margin, 1.0 - margin
+    lo, hi = -1.0 + ARCTANH_MARGIN, 1.0 - ARCTANH_MARGIN
     clipped = np.clip(av, lo, hi)
     out_v = np.arctanh(clipped)
     if not isinstance(a, Tensor):

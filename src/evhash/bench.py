@@ -41,6 +41,9 @@ from .ingest import (
 from . import model as model_mod
 from .model import Autoencoder, encode, encode_batch
 
+MIN_COPY, MIN_SLIDE = 4, 2  # the copy grid: steps of duration and slide, s
+K_MAX = 10                  # the evaluation reports top-k for k = 1..K_MAX
+
 BUCKET_EDGES = (10, 15, 20, 25, 30, 35, 40, 45, 50)
 BUCKET_LABELS = ("<10", "10-15", "15-20", "20-25", "25-30",
                  "30-35", "35-40", "40-45", "45-50", ">50")
@@ -57,7 +60,7 @@ class CopySpec:
     T_fv: int
 
     def __post_init__(self):
-        if self.T_c < 4 or self.slide < 0 or self.slide % 2 != 0:
+        if self.T_c < MIN_COPY or self.slide < 0 or self.slide % MIN_SLIDE:
             raise OutOfRange(f"bad copy spec {self}")
         if (self.start - self.slide) % self.T_c != 0 or self.start < self.slide:
             raise OutOfRange(f"start {self.start} is not on the "
@@ -146,16 +149,15 @@ def synth_video(seed: int, duration_s: float, fps: int = 25) -> FrameSequence:
 # -- copy synthesis -----------------------------------------------------------
 
 
-def make_copies(T_fv: int, min_copy: int = 4, min_slide: int = 2,
-                source_id: str = "") -> list[CopySpec]:
-    """All copies of a T_fv-second video: every duration that is a
-    multiple of min_copy, every slide that is a multiple of min_slide,
-    tiled from the slide onward."""
-    if T_fv < min_copy:
-        raise TooShort(f"video of {T_fv}s is shorter than a {min_copy}s copy")
+def make_copies(T_fv: int, source_id: str = "") -> list[CopySpec]:
+    """All copies of a T_fv-second video on the copy grid: every duration
+    that is a multiple of MIN_COPY, every slide that is a multiple of
+    MIN_SLIDE, tiled from the slide onward."""
+    if T_fv < MIN_COPY:
+        raise TooShort(f"video of {T_fv}s is shorter than a {MIN_COPY}s copy")
     specs = []
-    for t_c in range(min_copy, T_fv + 1, min_copy):
-        for slide in range(0, T_fv - t_c + 1, min_slide):
+    for t_c in range(MIN_COPY, T_fv + 1, MIN_COPY):
+        for slide in range(0, T_fv - t_c + 1, MIN_SLIDE):
             start = slide
             while start + t_c <= T_fv:
                 specs.append(CopySpec(source_id, slide, start, t_c, T_fv))
@@ -201,7 +203,7 @@ class EvalReport:
 
     modes: tuple
     k_max: int
-    topk: dict = field(default_factory=dict)        # mode -> [acc at k=1..k_max]
+    topk: dict = field(default_factory=dict)        # mode -> [acc at k=1..K_MAX]
     topk_restricted: dict = field(default_factory=dict)
     buckets: dict = field(default_factory=dict)     # mode -> [(label, ahl, top5)]
     buckets_restricted: dict = field(default_factory=dict)
@@ -209,10 +211,10 @@ class EvalReport:
     query_count_restricted: int = 0
 
 
-def _summary(results, hashes: dict[str, VideoHash], durations, k_max):
-    """Top-k accuracies for k = 1..k_max and per-duration-bucket
+def _summary(results, hashes: dict[str, VideoHash], durations):
+    """Top-k accuracies for k = 1..K_MAX and per-duration-bucket
     (label, mean AHL, top-5) rows of (source id, ranked ids) results."""
-    accs = [topk_accuracy(results, k) for k in range(1, k_max + 1)]
+    accs = [topk_accuracy(results, k) for k in range(1, K_MAX + 1)]
     rows = []
     for bucket, label in enumerate(BUCKET_LABELS):
         vids = [vid for vid, dur in durations.items()
@@ -230,7 +232,7 @@ def run_eval(videos: list[FrameSequence], video_ids: list[str],
              model: Autoencoder, stats: NormStats,
              copies: list[CopySpec] | None = None,
              modes=("events", "sample", "sample_and_events"),
-             T_s: float = 4.0, k_max: int = 10,
+             T_s: float = 4.0,
              detect_cfg: EventDetectConfig | None = None,
              progress=None) -> EvalReport:
     """Hash the given videos into per-mode databases, query every copy,
@@ -334,21 +336,21 @@ def run_eval(videos: list[FrameSequence], video_ids: list[str],
             del encoded[k]
         for mode in modes:
             vh = hash_video(enc, mode, detect_cfg, T_s, qid, float(spec.T_c))
-            ranked = [vid for vid, _ in query_topk(dbs[mode], vh, k_max)]
+            ranked = [vid for vid, _ in query_topk(dbs[mode], vh, K_MAX)]
             results[mode].append((spec.source_id, ranked))
         if progress is not None and (qi + 1) % 200 == 0:
             progress(qi + 1, len(copies))
 
-    report = EvalReport(modes=tuple(modes), k_max=k_max)
+    report = EvalReport(modes=tuple(modes), k_max=K_MAX)
     report.query_count = len(copies)
     restricted = [spec.slide % 4 == 2 for spec in copies]
     report.query_count_restricted = sum(restricted)
     for mode in modes:
         report.topk[mode], report.buckets[mode] = _summary(
-            results[mode], db_hashes[mode], durations, k_max)
+            results[mode], db_hashes[mode], durations)
         report.topk_restricted[mode], report.buckets_restricted[mode] = \
             _summary([r for r, keep in zip(results[mode], restricted) if keep],
-                     db_hashes[mode], durations, k_max)
+                     db_hashes[mode], durations)
     return report
 
 

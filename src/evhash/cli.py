@@ -85,6 +85,8 @@ def cmd_train(args) -> int:
         memory_threshold=args.th, seed=args.seed,
         checkpoint_every=args.ckpt_every,
         checkpoint_dir=Path(args.ckpt_dir) if args.ckpt_dir else None)
+    if cfg.checkpoint_dir is not None:
+        cfg.checkpoint_dir.mkdir(parents=True, exist_ok=True)
     _progress(f"training {len(train_set)} videos for {cfg.epochs} epochs")
     net, log = losses.train(train_set, cfg, net)
     model_mod.save_model(net, args.outfile)
@@ -182,14 +184,30 @@ def cmd_dseries(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
+def _int_at_least(low: int, what: str):
+    """An argparse type: an integer of at least ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected {what}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1, "a positive integer")
+_nonnegative_int = _int_at_least(0, "a non-negative integer")
+
+
+def _learning_rate(text: str) -> float:
+    """--lr: a finite value >= 0, as ``numerics.AdamConfig`` takes."""
+    value = float(text)  # argparse reports a ValueError as an invalid value
+    if not (np.isfinite(value) and value >= 0):
         raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}")
+            f"expected a finite learning rate >= 0, got {text!r}")
     return value
 
 
@@ -252,13 +270,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--loss-log")
     sp.add_argument("--epochs", type=_positive_int, default=100)
     sp.add_argument("--batch-size", type=int, default=32)
-    sp.add_argument("--lr", type=float, default=1e-3)
+    sp.add_argument("--lr", type=_learning_rate, default=1e-3)
     sp.add_argument("--th", type=_positive_int, default=16)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--L", type=_positive_int, default=64)
     sp.add_argument("--enc-dims", type=_positive_ints, default="256,256,64")
     sp.add_argument("--dtype", choices=sorted(_DTYPES), default="float64")
-    sp.add_argument("--ckpt-every", type=int, default=0)
+    sp.add_argument("--ckpt-every", type=_nonnegative_int, default=0,
+                    help="epochs between checkpoints (0: none)")
     sp.add_argument("--ckpt-dir")
     sp.add_argument("feats", nargs="+")
 
@@ -316,6 +335,11 @@ def main(argv=None) -> int:
         if args.command == "train" and args.th > args.L:
             args.parser.error(f"argument --th: must not exceed --L "
                               f"({args.L}), got {args.th}")
+        if args.command == "train" and args.ckpt_every and not args.ckpt_dir:
+            args.parser.error("argument --ckpt-every: needs --ckpt-dir")
+        if args.command == "train" and args.ckpt_dir and not args.ckpt_every:
+            args.parser.error("argument --ckpt-dir: needs --ckpt-every "
+                              "above 0")
     except SystemExit as e:
         return 0 if e.code == 0 else 1
     try:

@@ -63,10 +63,6 @@ class NonFiniteGradient(DataError):
     pass
 
 
-class NonDeterministicLoss(DataError):
-    pass
-
-
 class NonFiniteLoss(DataError):
     pass
 
@@ -95,10 +91,6 @@ class EmptyCodes(DataError):
 
 
 class EmptyEntry(DataError):
-    pass
-
-
-class EmptyQuery(DataError):
     pass
 
 

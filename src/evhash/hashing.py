@@ -116,50 +116,36 @@ def detect_event_ends(d_series, cfg: EventDetectConfig, M_e: int) -> list[int]:
     return ends
 
 
-def pool_events(codes: np.ndarray, ends: list[int], P: int,
-                prev_end: int = 0) -> np.ndarray:
+def pool_events(codes: np.ndarray, ends: list[int], P: int) -> np.ndarray:
     """(E, L) codes of the events that end at the increasing 1-based steps
-    ``ends`` (at least one), the first after ``prev_end``: each bit is the
-    majority over the event's last min(P, event length) code rows of
-    ``codes`` ((M_e, L) in {0, 1}), and an even split votes 1.
+    ``ends`` (at least one); an event runs from the step after the previous
+    end, the first from step 1. Each bit is the majority over the event's
+    last min(P, event length) code rows of ``codes`` ((M_e, L) in {0, 1}),
+    and an even split votes 1.
 
     The windows [start, end) of rows are summed by one ``reduceat`` over
     the bounds start_1, end_1, start_2, ..., whose odd-numbered runs (from
     an end to the next start) are dropped.
     """
-    bounds, need = [], []
+    bounds, need, prev = [], [], 0
     for end in ends:
-        start = max(prev_end, end - P)
+        start = max(prev, end - P)
         bounds += start, end
         need.append((end - start + 1) // 2)  # ones that win the vote
-        prev_end = end
+        prev = end
     ones = np.add.reduceat(codes[:end], bounds[:-1], axis=0,
                            dtype=np.intp)[::2]
     return np.greater_equal(ones, np.array(need)[:, None]).view(np.uint8)
 
 
-def pool_event_hash(codes: np.ndarray, event_end: int, prev_end: int,
-                    P: int) -> np.ndarray:
-    """Bitwise majority over the last min(P, event length) code rows.
-
-    ``codes`` is (M_e, L) in {0, 1}; steps are 1-based and the event
-    covers (prev_end, event_end]. An even split votes 1. This is the
-    one-event case of ``pool_events``.
-    """
-    if not 0 <= prev_end < event_end <= len(codes):
-        raise BadRange(f"bad event range ({prev_end}, {event_end}] "
-                       f"for {len(codes)} steps")
-    return pool_events(codes, [event_end], P, prev_end)[0]
+def encoder_step_time(k: int) -> float:
+    """Seconds spanned by k encoder steps (8 frames at 25 fps per step)."""
+    return FRAMES_PER_STEP * k / 25.0
 
 
-def encoder_step_time(k: int, fps: float = 25.0) -> float:
-    """Seconds spanned by k encoder steps (8 source frames per step)."""
-    return FRAMES_PER_STEP * k / fps
-
-
-def sample_interval_steps(T_s: float, fps: float = 25.0) -> int:
+def sample_interval_steps(T_s: float) -> int:
     """Encoder steps per sampling period, rounded half away from zero."""
-    return math.floor(T_s * fps / FRAMES_PER_STEP + 0.5)
+    return math.floor(T_s * 25.0 / FRAMES_PER_STEP + 0.5)
 
 
 def _sample_ends(M_e: int, delta: int) -> list[int]:
@@ -233,18 +219,15 @@ def hash_video(codes: EncodeResult, mode: str, cfg: EventDetectConfig,
                      mode=mode, duration_seconds=float(duration_seconds))
 
 
-def emit_d_series(codes: EncodeResult,
-                  cfg: EventDetectConfig | None = None) -> list[tuple]:
+def emit_d_series(codes: EncodeResult, cfg: EventDetectConfig) -> list[tuple]:
     """(step, d_t, is_event_end) rows for the adjacent-Hamming profile."""
-    if cfg is None:
-        cfg = EventDetectConfig()
     flagged = set(detect_event_ends(codes.d_series, cfg, codes.M_e)[:-1])
     return [(t, int(codes.d_series[t - 1]), t in flagged)
             for t in range(1, codes.M_e)]
 
 
 def write_d_series_csv(codes: EncodeResult, path,
-                       cfg: EventDetectConfig | None = None) -> None:
+                       cfg: EventDetectConfig) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["step", "d_t", "is_event_end"])

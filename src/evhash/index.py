@@ -20,8 +20,6 @@ writes the int64 totals at the entries' insertion positions. A block
 XORs at most 2**15 words (one entry's events against one query event,
 when that is more), so a query's scratch does not grow with the database;
 its only per-entry arrays are the totals and the top-k selection.
-``video_distance`` and ``event_min_distance`` run the same kernel on a
-one-entry store.
 
 The database is append-only: ``db.entries`` is a read-only view, and
 ``db_add`` and ``db_load`` are its only writers. So the store is never
@@ -51,7 +49,6 @@ from .errors import (
     DuplicateId,
     EmptyDatabase,
     EmptyEntry,
-    EmptyQuery,
     LengthMismatch,
     ModeMismatch,
     ShapeMismatch,
@@ -286,25 +283,6 @@ def _min_sums(q_words: np.ndarray, block: np.ndarray) -> np.ndarray:
                                dtype=np.min_scalar_type(64 * W)))
     return np.add.reduce(np.minimum.reduce(dist, axis=1), axis=0,
                          dtype=np.int64)
-
-
-def _single_entry_total(q_bits: np.ndarray, entry: DbEntry) -> int:
-    L = q_bits.shape[1]
-    store = _Store(L)
-    store.extend(["entry"], [entry])
-    return int(_entry_totals(_words(q_bits, L), store)[0])
-
-
-def event_min_distance(query_event: np.ndarray, entry: DbEntry) -> int:
-    """Min Hamming distance from one L-bit query event to the entry's events."""
-    return _single_entry_total(query_event[None, :], entry)
-
-
-def video_distance(query: VideoHash, entry: DbEntry) -> float:
-    """Mean over query events of the per-event minimum Hamming distance."""
-    if query.E < 1:
-        raise EmptyQuery(f"{query.video_id}: query has no events")
-    return _single_entry_total(query.events, entry) / query.E
 
 
 def query_topk(db: HashDatabase, query: VideoHash, k: int):

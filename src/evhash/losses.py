@@ -44,12 +44,11 @@ class LossBreakdown:
 
 @dataclass
 class TrainConfig:
+    """A run's settings; Adam's betas and epsilon are numerics constants."""
+
     batch_size: int = 32
     epochs: int = 1
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_hat: float = 1e-8
     memory_threshold: int = 16  # bits; event-transition cutoff in the gate loss
     seed: int = 0
     checkpoint_every: int = 0   # epochs between checkpoints; 0 = none
@@ -60,6 +59,10 @@ class TrainConfig:
             raise BatchTooSmall("diversity loss needs at least 2 items")
         if self.memory_threshold <= 0:
             raise ValueError("memory threshold must be positive")
+        if self.checkpoint_every < 0:
+            raise ValueError("checkpoint interval must be nonnegative")
+        if self.checkpoint_every and self.checkpoint_dir is None:
+            raise ValueError("checkpoints need a directory")
 
 
 def recon_loss(recon, target, L: int):
@@ -259,7 +262,6 @@ def diversity_loss_packed(codes, enc: Layout, L: int):
 
 
 def batch_loss(model: Autoencoder, seqs: list[FeatureSequence], th: int,
-               update_stats: bool = True, binarize: str = "hard",
                inputs=None):
     """Training-mode forward plus loss for one batch (sorted by length).
 
@@ -270,8 +272,7 @@ def batch_loss(model: Autoencoder, seqs: list[FeatureSequence], th: int,
         raise BatchTooSmall("a training batch needs at least 2 videos")
     if inputs is None:
         inputs = prepare_inputs(seqs, model.dtype)
-    fwd = forward_batch_train(seqs, model, update_stats=update_stats,
-                              binarize=binarize, inputs=inputs)
+    fwd = forward_batch_train(seqs, model, inputs=inputs)
     L = model.L
     b = len(seqs)
 
@@ -322,8 +323,7 @@ def train(train_set: list[FeatureSequence], cfg: TrainConfig,
     if any(len(b) < 2 for b in batches):
         raise BatchTooSmall("cannot form batches of at least 2 videos")
     rng = np.random.default_rng(cfg.seed)
-    adam = AdamConfig(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
-                      eps_hat=cfg.eps_hat)
+    adam = AdamConfig(lr=cfg.lr)
     params = model.parameters()
     prepared = [prepare_inputs(b, model.dtype) for b in batches]
     log: list[LossBreakdown] = []
@@ -341,8 +341,7 @@ def train(train_set: list[FeatureSequence], cfg: TrainConfig,
             sums += (bd.recon, bd.memory, bd.diversity, bd.total)
         sums /= len(batches)
         log.append(LossBreakdown(*sums))
-        if (cfg.checkpoint_every and cfg.checkpoint_dir is not None
-                and epoch % cfg.checkpoint_every == 0):
+        if cfg.checkpoint_every and epoch % cfg.checkpoint_every == 0:
             save_model(model, Path(cfg.checkpoint_dir) / f"epoch{epoch:05d}.mcbn")
     return model, log
 

@@ -60,9 +60,7 @@ from .errors import (
 )
 from .ingest import FeatureSequence
 from .numerics import (BNSiteStats, Parameter, bn_centered_grad, bn_normalize,
-                       sgn_ste, sgn_surrogate)
-
-ARCTANH_MARGIN = 1e-6
+                       sgn_ste)
 
 
 class BNLSTMCell:
@@ -209,10 +207,9 @@ class Layout:
         self.offsets = np.concatenate(([0], np.cumsum(self.counts)))
         self.rows = int(self.offsets[-1])
 
-    def item_rows(self, i: int, n: int | None = None) -> np.ndarray:
-        """Rows of item i's first n steps (all of its steps by default)."""
-        n = int(self.lengths[i]) if n is None else n
-        return self.offsets[:n] + i
+    def item_rows(self, i: int) -> np.ndarray:
+        """Rows of item i's steps."""
+        return self.offsets[:self.lengths[i]] + i
 
     def steps_items(self):
         """0-based step and item index of every row."""
@@ -356,12 +353,9 @@ def bnlstm_layer(cell: BNLSTMCell, X, lay: Layout, stats="train",
     ``X`` is the packed (lay.rows, d_x) input, a tape tensor or an array.
     Returns the packed hidden states H, and with ``want_gates`` also G
     (lay.rows, 3 d_h), the post-sigmoid (f, i, o) gates side by side.
-    ``stats`` picks the normalizer of every BN site:
-
-    - ``"train"``: each step's batch statistics, momentum-updating the
-      running ones;
-    - ``"batch"``: the same without the update;
-    - ``"running"``: the stored running statistics of each step.
+    ``stats`` picks the normalizer of every BN site: ``"train"`` takes
+    each step's batch statistics and momentum-updates the running ones,
+    ``"running"`` applies the stored running statistics of each step.
 
     Each step is the BN-LSTM cell of :class:`BNLSTMCell`; the tests hold
     it to a step-by-step reference built from tape ops. With batch
@@ -373,7 +367,7 @@ def bnlstm_layer(cell: BNLSTMCell, X, lay: Layout, stats="train",
     statistics :func:`_bnlstm_running` runs instead: H and G are plain
     arrays, and the cell's workspace is left alone.
     """
-    if stats not in ("train", "batch", "running"):
+    if stats not in ("train", "running"):
         raise ValueError(f"unknown statistics {stats!r}")
     xv = val(X)
     if xv.ndim != 2 or xv.shape != (lay.rows, cell.d_x):
@@ -440,9 +434,8 @@ def bnlstm_layer(cell: BNLSTMCell, X, lay: Layout, stats="train",
             nb = bounds[t + 1][1]
             HP[r.stop:r.stop + nb] = H[r][:nb]
             CP[r.stop:r.stop + nb] = c[:nb]
-    if stats == "train":
-        for site, block in zip(cell.sites(), (mv_a, mv_u, mv_c)):
-            site.update(1, block)
+    for site, block in zip(cell.sites(), (mv_a, mv_u, mv_c)):
+        site.update(1, block)
 
     G = np.concatenate((ACT[:, :2 * d], ACT[:, 3 * d:]), axis=1) \
         if want_gates else None
@@ -571,7 +564,7 @@ def _decoder(model: Autoencoder, codes, enc: Layout, stats: str):
     dec, a, b = lay.upsample()
     s = bnlstm_layer(d3, _upsample(s, a, b), dec, stats)
     s = bnlstm_layer(d4, s, dec, stats)
-    return dec, ad.arctanh_clamped(s, ARCTANH_MARGIN)
+    return dec, ad.arctanh_clamped(s)
 
 
 def prepare_inputs(seqs: list[FeatureSequence], dtype) -> np.ndarray:
@@ -584,20 +577,16 @@ def prepare_inputs(seqs: list[FeatureSequence], dtype) -> np.ndarray:
 
 
 def forward_batch_train(seqs: list[FeatureSequence], model: Autoencoder,
-                        update_stats: bool = True,
-                        binarize: str = "hard",
                         inputs: np.ndarray | None = None) -> BatchForward:
     """Training-mode forward over a ragged batch, on the tape.
 
     ``seqs`` must be sorted by decreasing length; ``inputs`` is their
     :func:`prepare_inputs`. Each cell is one node over the packed batch,
-    and so are the strides, upsamplings, arctanhs and the sign. Decoder
-    rows may overshoot an item's length; the losses ignore the
-    overshoot, which realizes the cut-to-M contract.
-
-    ``binarize="surrogate"`` swaps the hard sign for its clipped-identity
-    surrogate (same gradient), making the whole loss finite-difference
-    checkable; production training uses the default hard codes.
+    and so are the strides, upsamplings, arctanhs and the sign. Every BN
+    site normalizes with the batch statistics and momentum-updates its
+    running ones, which no training loss reads. Decoder rows may
+    overshoot an item's length; the losses ignore the overshoot, which
+    realizes the cut-to-M contract.
     """
     if any(s.M < 1 for s in seqs):
         raise EmptySequence("empty feature sequence in batch")
@@ -605,13 +594,12 @@ def forward_batch_train(seqs: list[FeatureSequence], model: Autoencoder,
     if np.any(lengths[:-1] < lengths[1:]):
         raise ValueError("batch items must be sorted by decreasing length")
     x = inputs if inputs is not None else prepare_inputs(seqs, model.dtype)
-    stats = "train" if update_stats else "batch"
 
     inp = Layout(lengths)
-    enc, hid, gates = _encoder(model, x, inp, stats)
-    prebin = ad.arctanh_clamped(hid, ARCTANH_MARGIN)
-    codes = (sgn_ste if binarize == "hard" else sgn_surrogate)(prebin)
-    dec, recon = _decoder(model, codes, enc, stats)
+    enc, hid, gates = _encoder(model, x, inp, "train")
+    prebin = ad.arctanh_clamped(hid)
+    codes = sgn_ste(prebin)
+    dec, recon = _decoder(model, codes, enc, "train")
 
     model.max_input_len = max(model.max_input_len, int(lengths[0]))
     return BatchForward(inp, enc, dec, codes, gates, prebin, recon)
@@ -667,14 +655,12 @@ def _encode_pass(seqs, model):
     """EncodeResults of ``seqs``, sorted by decreasing length, from one
     packed encoder run."""
     lay = Layout([s.M for s in seqs])
-    X = np.empty((lay.rows, model.D), model.dtype)
     with np.errstate(over="ignore"):  # an overflow is reported below
-        for i, s in enumerate(seqs):
-            X[lay.item_rows(i)] = s.features
+        X = prepare_inputs(seqs, model.dtype)
     _check_finite(X, lay, seqs, "feature values")
     enc, hid, gates = _encoder(model, X, lay, "running")
     _check_finite(hid, enc, seqs, "hidden states in the code layer")
-    codes = sgn_ste(ad.arctanh_clamped(hid, ARCTANH_MARGIN))
+    codes = sgn_ste(ad.arctanh_clamped(hid))
     return [_encode_result(codes[r], gates[r], model.L)
             for r in map(enc.item_rows, range(len(seqs)))]
 

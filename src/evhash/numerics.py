@@ -1,6 +1,7 @@
 """Numerics under the model and its training: per-timestep BN
 statistics and the batch-norm kernels the fused layer runs,
-straight-through binarization, Adam, and a finite-difference checker.
+straight-through binarization, and Adam with the default betas of
+Kingma & Ba (2015).
 """
 
 from __future__ import annotations
@@ -9,7 +10,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, val
-from .errors import NonDeterministicLoss, NonFiniteGradient
+from .errors import NonFiniteGradient
+
+# Adam's moment decay rates and the denominator's epsilon
+BETA1, BETA2, EPS_HAT = 0.9, 0.999, 1e-8
 
 
 class Parameter(ad.Leaf):
@@ -68,17 +72,13 @@ class BNSiteStats:
 
 
 class AdamConfig:
-    """Adam hyperparameters plus the shared step counter."""
+    """Adam's learning rate plus the shared step counter; the betas and
+    epsilon are the constants BETA1, BETA2 and EPS_HAT."""
 
-    def __init__(self, lr=1e-3, beta1=0.9, beta2=0.999, eps_hat=1e-8):
-        if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
-            raise ValueError("betas must lie in [0, 1)")
+    def __init__(self, lr=1e-3):
         if lr < 0:
             raise ValueError("lr must be nonnegative")
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps_hat = float(eps_hat)
         self.step = 0
 
 
@@ -139,25 +139,6 @@ def sgn_ste(h):
     return Tensor(out_v, (h,), bwd)
 
 
-def sgn_surrogate(h):
-    """The clipped identity underlying the straight-through estimator.
-
-    Same backward mask as :func:`sgn_ste` but a continuous forward, so
-    losses built on it admit finite-difference gradient verification
-    (away from the kinks at +-1).
-    """
-    hv = val(h)
-    out_v = np.clip(hv, -1.0, 1.0)
-    if not isinstance(h, Tensor):
-        return out_v
-    mask = (np.abs(hv) <= 1.0).astype(hv.dtype)
-
-    def bwd(g):
-        ad._buf(h)[...] += g * mask
-
-    return Tensor(out_v, (h,), bwd)
-
-
 # -- optimizer ------------------------------------------------------------
 
 
@@ -166,8 +147,8 @@ def adam_step(params, cfg: AdamConfig):
     gradient that is not finite or overflows when squared (an infinite v
     would freeze its coordinates) raises before its parameter changes."""
     cfg.step += 1
-    c1 = 1.0 - cfg.beta1 ** cfg.step
-    c2 = 1.0 - cfg.beta2 ** cfg.step
+    c1 = 1.0 - BETA1 ** cfg.step
+    c2 = 1.0 - BETA2 ** cfg.step
     for p in params:
         g = p.grad
         with np.errstate(over="ignore"):  # an overflow is reported below
@@ -176,65 +157,19 @@ def adam_step(params, cfg: AdamConfig):
             raise NonFiniteGradient(f"gradient of {p.name!r} is not finite "
                                     f"or overflows when squared")
         # g2 and one scratch array hold every temporary: the update is
-        # lr * (m / c1) / (sqrt(v / c2) + eps_hat), in that order
-        step = np.multiply(g, 1.0 - cfg.beta1)
-        p.m *= cfg.beta1
+        # lr * (m / c1) / (sqrt(v / c2) + EPS_HAT), in that order
+        step = np.multiply(g, 1.0 - BETA1)
+        p.m *= BETA1
         p.m += step
-        p.v *= cfg.beta2
-        g2 *= 1.0 - cfg.beta2
+        p.v *= BETA2
+        g2 *= 1.0 - BETA2
         p.v += g2
         denom = np.divide(p.v, c2, out=g2)
         np.sqrt(denom, out=denom)
-        denom += cfg.eps_hat
+        denom += EPS_HAT
         np.divide(p.m, c1, out=step)
         step *= cfg.lr
         step /= denom
         p.value -= step
         g[...] = 0.0
 
-
-# -- gradient checking -----------------------------------------------------
-
-
-def grad_check(loss_fn, params, h=1e-4):
-    """Max relative error between tape gradients and central differences.
-
-    ``loss_fn`` must rebuild the loss from the parameters' current values
-    and return a scalar Tensor. It is evaluated twice up front; any
-    disagreement raises NonDeterministicLoss.
-
-    The error for one parameter tensor is the Euclidean norm of
-    (analytic - numeric) over max(|analytic|, |numeric|, 1e-12) in the
-    same norm; the result is the max over parameters. Comparing whole
-    tensors keeps the check meaningful in double precision: individual
-    coordinates whose true gradient sits below the finite-difference
-    resolution (|g| ~ ulp(loss)/h) would otherwise read as pure noise.
-    """
-    v1 = float(val(loss_fn()))
-    v2 = float(val(loss_fn()))
-    if v1 != v2:
-        raise NonDeterministicLoss(f"loss evaluated to {v1} then {v2}")
-
-    for p in params:
-        p.grad[...] = 0.0
-    loss_fn().backward()
-    analytic = [p.grad.copy() for p in params]
-    for p in params:
-        p.grad[...] = 0.0
-
-    max_rel = 0.0
-    for p, ana in zip(params, analytic):
-        flat = p.value.reshape(-1)
-        num = np.empty_like(ana.reshape(-1))
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            lp = float(val(loss_fn()))
-            flat[i] = orig - h
-            lm = float(val(loss_fn()))
-            flat[i] = orig
-            num[i] = (lp - lm) / (2.0 * h)
-        diff = np.linalg.norm(ana.reshape(-1) - num)
-        denom = max(np.linalg.norm(ana), np.linalg.norm(num), 1e-12)
-        max_rel = max(max_rel, diff / denom)
-    return max_rel

@@ -20,7 +20,16 @@ steps one by one, taking each trailing window's mean on its own.
 
 ``evhash.hashing.pool_events`` sums every event's window of code rows in
 one ``reduceat``; :func:`pool_events_per_event` takes the majority of
-each window on its own.
+each window on its own, and :func:`pool_event_hash` pools one event.
+
+``evhash.index.query_topk`` scores every entry of a database at once;
+:func:`video_distance` and :func:`event_min_distance` run the same
+kernel on a one-entry store.
+
+The finite-difference harness: :func:`grad_check` compares tape
+gradients with central differences, and :func:`sgn_surrogate`, patched
+over ``evhash.model.sgn_ste``, makes the training loss continuous enough
+for it.
 """
 
 import numpy as np
@@ -28,7 +37,10 @@ from scipy.special import expit
 
 from evhash import autodiff as ad
 from evhash.autodiff import Tensor, addn, gather_rows, val
-from evhash.errors import BatchTooSmall, LengthMismatch, ShapeMismatch
+from evhash.errors import (BadRange, BatchTooSmall, DataError, LengthMismatch,
+                           ShapeMismatch)
+from evhash.hashing import pool_events
+from evhash.index import _entry_totals, _Store, _words
 from evhash.losses import recon_loss_packed, total_loss
 from evhash.model import _adjacent_hamming, forward_batch_train, prepare_inputs
 from evhash.numerics import BNSiteStats, bn_centered_grad, bn_normalize
@@ -435,13 +447,12 @@ def diversity_loss_graph(codes_list, L: int):
     return scale(addn(terms), 2.0 / (b * (b - 1)))
 
 
-def batch_loss_per_item(model, seqs, th: int, update_stats: bool = True):
+def batch_loss_per_item(model, seqs, th: int):
     """``evhash.losses.batch_loss`` with the memory and diversity terms
     built item by item and pair by pair: 6 nodes per pair and about 20
     per item."""
     inputs = prepare_inputs(seqs, model.dtype)
-    fwd = forward_batch_train(seqs, model, update_stats=update_stats,
-                              inputs=inputs)
+    fwd = forward_batch_train(seqs, model, inputs=inputs)
     L, b = model.L, len(seqs)
     m_lens = fwd.inp.lengths
     step, item = fwd.inp.steps_items()
@@ -499,3 +510,106 @@ def pool_events_per_event(codes, ends, P):
         pooled.append((2 * ones >= len(window)).astype(np.uint8))
         prev = end
     return np.stack(pooled)
+
+
+def pool_event_hash(codes, event_end: int, prev_end: int, P: int):
+    """Bitwise majority over the last min(P, event length) code rows.
+
+    ``codes`` is (M_e, L) in {0, 1}; steps are 1-based and the event
+    covers (prev_end, event_end]. An even split votes 1. This is the
+    one-event case of ``evhash.hashing.pool_events``.
+    """
+    if not 0 <= prev_end < event_end <= len(codes):
+        raise BadRange(f"bad event range ({prev_end}, {event_end}] "
+                       f"for {len(codes)} steps")
+    return pool_events(codes[prev_end:], [event_end - prev_end], P)[0]
+
+
+# -- distances to one database entry -------------------------------------
+
+
+def _single_entry_total(q_bits, entry):
+    L = q_bits.shape[1]
+    store = _Store(L)
+    store.extend(["entry"], [entry])
+    return int(_entry_totals(_words(q_bits, L), store)[0])
+
+
+def event_min_distance(query_event, entry):
+    """Min Hamming distance from one L-bit query event to the entry's events."""
+    return _single_entry_total(query_event[None, :], entry)
+
+
+def video_distance(query, entry):
+    """Mean over query events of the per-event minimum Hamming distance."""
+    return _single_entry_total(query.events, entry) / query.E
+
+
+# -- finite-difference gradient checking -----------------------------------
+
+
+def sgn_surrogate(h):
+    """The clipped identity underlying the straight-through estimator.
+
+    Same backward mask as ``evhash.numerics.sgn_ste`` but a continuous
+    forward, so losses built on it admit finite-difference gradient
+    verification (away from the kinks at +-1).
+    """
+    hv = val(h)
+    out_v = np.clip(hv, -1.0, 1.0)
+    if not isinstance(h, Tensor):
+        return out_v
+    mask = (np.abs(hv) <= 1.0).astype(hv.dtype)
+
+    def bwd(g):
+        ad._buf(h)[...] += g * mask
+
+    return Tensor(out_v, (h,), bwd)
+
+
+class NonDeterministicLoss(DataError):
+    """A loss function gave two values for the same parameters."""
+
+
+def grad_check(loss_fn, params, h=1e-4):
+    """Max relative error between tape gradients and central differences.
+
+    ``loss_fn`` must rebuild the loss from the parameters' current values
+    and return a scalar Tensor. It is evaluated twice up front; any
+    disagreement raises NonDeterministicLoss.
+
+    The error for one parameter tensor is the Euclidean norm of
+    (analytic - numeric) over max(|analytic|, |numeric|, 1e-12) in the
+    same norm; the result is the max over parameters. Comparing whole
+    tensors keeps the check meaningful in double precision: individual
+    coordinates whose true gradient sits below the finite-difference
+    resolution (|g| ~ ulp(loss)/h) would otherwise read as pure noise.
+    """
+    v1 = float(val(loss_fn()))
+    v2 = float(val(loss_fn()))
+    if v1 != v2:
+        raise NonDeterministicLoss(f"loss evaluated to {v1} then {v2}")
+
+    for p in params:
+        p.grad[...] = 0.0
+    loss_fn().backward()
+    analytic = [p.grad.copy() for p in params]
+    for p in params:
+        p.grad[...] = 0.0
+
+    max_rel = 0.0
+    for p, ana in zip(params, analytic):
+        flat = p.value.reshape(-1)
+        num = np.empty_like(ana.reshape(-1))
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            lp = float(val(loss_fn()))
+            flat[i] = orig - h
+            lm = float(val(loss_fn()))
+            flat[i] = orig
+            num[i] = (lp - lm) / (2.0 * h)
+        diff = np.linalg.norm(ana.reshape(-1) - num)
+        denom = max(np.linalg.norm(ana), np.linalg.norm(num), 1e-12)
+        max_rel = max(max_rel, diff / denom)
+    return max_rel

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import evhash.model
 from evhash import autodiff as ad
 from evhash.bench import (
     BUCKET_LABELS,
@@ -44,8 +45,8 @@ from evhash.model import (
     forward_batch_train,
     _encoder,
 )
-from evhash.numerics import grad_check
 
+from tests._reference import grad_check, sgn_surrogate
 from tests.test_losses import diversity_oracle, memory_loss_oracle
 from tests.test_model import freeze_to_plain_lstm, plain_encoder_oracle
 
@@ -116,21 +117,24 @@ def _tiny_checkable_model(seed=0, eps=1e-2):
 
 
 @pytest.mark.slow
-def test_c02_gradient_check_full_model():
+def test_c02_gradient_check_full_model(monkeypatch):
     """Analytic gradients of the total loss vs central differences."""
     t0 = time.perf_counter()
     model, seqs = _tiny_checkable_model()
 
     # precondition: activations feeding the binarizer stay away from the
     # sign flip at 0 and the straight-through mask edge at |h| = 1
-    fwd = forward_batch_train(seqs, model, update_stats=False)
+    fwd = forward_batch_train(seqs, model)
     prebin = ad.val(fwd.prebin).ravel()
     assert np.abs(prebin).min() > 1e-3
     assert np.abs(np.abs(prebin) - 1.0).min() > 1e-3
 
+    # the clipped-identity surrogate has the sign's gradient and a
+    # continuous forward, so the whole loss is finite-difference checkable
+    monkeypatch.setattr(evhash.model, "sgn_ste", sgn_surrogate)
+
     def loss_fn():
-        return batch_loss(model, seqs, th=1, update_stats=False,
-                          binarize="surrogate")[0]
+        return batch_loss(model, seqs, th=1)[0]
 
     err = grad_check(loss_fn, model.parameters(), h=1e-4)
     elapsed = time.perf_counter() - t0

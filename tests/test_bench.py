@@ -295,7 +295,7 @@ class TestRunEval:
 
 def reference_eval(videos, ids, model, stats, copies,
                    modes=("events", "sample", "sample_and_events"),
-                   T_s=4.0, k_max=10):
+                   T_s=4.0):
     """``run_eval`` with a fresh ingest of every crop: the (topk, buckets,
     topk_restricted, buckets_restricted) tables of each mode."""
     cfg = EventDetectConfig(hard_threshold=max(1, model.L // 4))
@@ -316,15 +316,16 @@ def reference_eval(videos, ids, model, stats, copies,
         enc = encode(normalize(extract_features(crop), stats), model)
         for mode in modes:
             vh = hash_video(enc, mode, cfg, T_s, f"q{qi}", float(spec.T_c))
-            ranked = [vid for vid, _ in query_topk(dbs[mode], vh, k_max)]
+            ranked = [vid for vid, _ in
+                      query_topk(dbs[mode], vh, bench.K_MAX)]
             results[mode].append((spec.source_id, ranked))
     tables = {}
     for mode in modes:
         kept = [r for r, spec in zip(results[mode], copies)
                 if spec.slide % 4 == 2]
         tables[mode] = (
-            *bench._summary(results[mode], hashes[mode], durations, k_max),
-            *bench._summary(kept, hashes[mode], durations, k_max))
+            *bench._summary(results[mode], hashes[mode], durations),
+            *bench._summary(kept, hashes[mode], durations))
     return tables
 
 

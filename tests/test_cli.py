@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evhash import ingest
+from evhash import ingest, losses
 from evhash import model as M
 from evhash.cli import main
 from evhash.index import db_load
@@ -67,6 +67,14 @@ class TestBadValues:
         ("train", "--epochs", "0"),
         ("train", "--L", "0"),
         ("train", "--enc-dims", "8,x,6"),
+        # Adam takes a finite learning rate >= 0
+        ("train", "--lr", "-1"),
+        ("train", "--lr", "nan"),
+        ("train", "--lr", "inf"),
+        # checkpoints need both an interval above 0 and a directory
+        ("train", "--ckpt-every", "-1"),
+        ("train", "--ckpt-every", "2"),
+        ("train", "--ckpt-dir", "ck"),
         ("query", "--topk", "0"),
         ("hash", "--th", "0"),
         # sampling periods that round to fewer than one encoder step
@@ -336,3 +344,31 @@ class TestPipeline:
                      "--L", "8", "--enc-dims", "8,8,6", "--th", "2",
                      "--seed", "1", *feats]) == 0
         assert model.read_bytes() == model2.read_bytes()
+
+    def test_checkpoints_into_a_new_directory(self, pipeline, tmp_path):
+        root, data, stats, model, db, feats, hashes = pipeline
+        ckpt = tmp_path / "a" / "b"
+        assert main(["train", "--stats", str(stats),
+                     "--out", str(tmp_path / "m.mcbn"), "--epochs", "2",
+                     "--lr", "1e-3", "--batch-size", "3", "--L", "8",
+                     "--enc-dims", "8,8,6", "--th", "2", "--seed", "1",
+                     "--ckpt-every", "1", "--ckpt-dir", str(ckpt),
+                     *feats]) == 0
+        assert sorted(p.name for p in ckpt.iterdir()) == [
+            "epoch00001.mcbn", "epoch00002.mcbn"]
+        # the last checkpoint is the trained model the pipeline saved
+        assert (ckpt / "epoch00002.mcbn").read_bytes() == model.read_bytes()
+
+    def test_checkpoint_dir_fails_before_training(self, pipeline, tmp_path,
+                                                  monkeypatch, capsys):
+        root, data, stats, model, db, feats, hashes = pipeline
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setattr(losses, "train",
+                            lambda *args: pytest.fail("training started"))
+        assert main(["train", "--stats", str(stats),
+                     "--out", str(tmp_path / "m.mcbn"), "--L", "8",
+                     "--th", "2", "--ckpt-every", "1",
+                     "--ckpt-dir", str(blocker / "ck"), *feats]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "m.mcbn").exists()

@@ -12,14 +12,13 @@ from evhash.hashing import (
     encoder_step_time,
     hash_video,
     load_video_hash,
-    pool_event_hash,
     pool_events,
     sample_interval_steps,
     write_d_series_csv,
     write_video_hash,
 )
 from evhash.model import EncodeResult
-from tests._reference import detect_event_ends_per_step, \
+from tests._reference import detect_event_ends_per_step, pool_event_hash, \
     pool_events_per_event
 
 

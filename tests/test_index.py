@@ -26,12 +26,11 @@ from evhash.index import (
     db_add,
     db_load,
     db_save,
-    event_min_distance,
     pack_codes,
     query_topk,
     unpack_codes,
-    video_distance,
 )
+from tests._reference import event_min_distance, video_distance
 
 
 def make_hash(rng, vid, L, n_events, mode="events"):

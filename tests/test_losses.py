@@ -176,6 +176,13 @@ def tiny_train_set(rng, n=4, d=6):
 
 
 class TestTrain:
+    @pytest.mark.parametrize("every, where", [(-1, "ck"), (2, None)])
+    def test_checkpoint_settings_are_checked(self, every, where):
+        # an interval of -1 would save every epoch, one without a
+        # directory would save nothing
+        with pytest.raises(ValueError):
+            TrainConfig(checkpoint_every=every, checkpoint_dir=where)
+
     def test_zero_lr_is_identity(self):
         rng = np.random.default_rng(9)
         model = build_model(D=6, L=4, encoder_dims=(5, 4, 3), seed=10)
@@ -226,7 +233,7 @@ class TestTrain:
         rng = np.random.default_rng(15)
         model = build_model(D=6, L=4, encoder_dims=(5, 4, 3), seed=16)
         seqs = sorted(tiny_train_set(rng, n=2), key=lambda s: -s.M)
-        total, _ = batch_loss(model, seqs, th=1, update_stats=False)
+        total, _ = batch_loss(model, seqs, th=1)
         total.backward()
         enc_grads = sum(float(np.abs(p.grad).sum())
                         for c in model.encoder for p in c.parameters())
@@ -272,8 +279,7 @@ class TestWorkspaceReuse:
             for k in (0, 1):
                 mixed[k] += train(sets[k], cfgs[k], models[k])[1]
                 # a training-mode forward left without a backward pass
-                forward_batch_train([sets[1 - k][0]], models[1 - k],
-                                    update_stats=False)
+                forward_batch_train([sets[1 - k][0]], models[1 - k])
         assert mixed == solo
 
     def test_two_live_tapes_do_not_share_arrays(self):
@@ -283,9 +289,9 @@ class TestWorkspaceReuse:
 
         def grads(interpose):
             model = makers[0]()
-            total, _ = batch_loss(model, batch, th=1, update_stats=False)
+            total, _ = batch_loss(model, batch, th=1)
             if interpose:
-                batch_loss(model, other, th=1, update_stats=False)
+                batch_loss(model, other, th=1)
             total.backward()
             return [p.grad for p in model.parameters()]
 
@@ -344,8 +350,7 @@ class TestPackedLossNodes:
         L = 16
         model = build_model(D=16, L=L, encoder_dims=(12, 12, L), seed=41,
                             dtype=dtype)
-        fwd = forward_batch_train(self.batch(lengths, dtype), model,
-                                  update_stats=False)
+        fwd = forward_batch_train(self.batch(lengths, dtype), model)
         got = memory_loss_packed(fwd.gates, fwd.codes, fwd.enc, 3, L)[1]
         codes, gates = ad.val(fwd.codes), ad.val(fwd.gates)
         want = []
@@ -361,7 +366,7 @@ class TestPackedLossNodes:
         def inner_nodes(b):
             model = build_model(D=6, L=4, encoder_dims=(5, 4, 3), seed=42)
             seqs = self.batch(tuple(range(20, 20 - b, -1)), np.float64, D=6)
-            total, _ = batch_loss(model, seqs, 1, update_stats=False)
+            total, _ = batch_loss(model, seqs, 1)
             return sum(n._bwd is not None for n in ad._toposort(total))
 
         assert inner_nodes(2) == inner_nodes(12)

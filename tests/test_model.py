@@ -20,7 +20,8 @@ from evhash.model import (
     load_model,
     save_model,
 )
-from tests._reference import add, bnlstm_cell_step, slice_rows, wsum
+from tests._reference import add, bnlstm_cell_step, sgn_surrogate, \
+    slice_rows, wsum
 
 
 def zero_cell(d_x, d_h, eps=0.0):
@@ -389,10 +390,10 @@ class TestForward:
         model = build_model(D=5, L=4, encoder_dims=(4, 4, 3), seed=16)
         a = rand_seq(rng, 12, 5, "a")
         other = rand_seq(rng, 12, 5, "b")
-        solo = M.forward_batch_train([a], model, update_stats=False)
-        pair = M.forward_batch_train([a, other], model, update_stats=False)
-        h_solo = ad.val(solo.recon)[solo.dec.item_rows(0, a.M)][3]
-        h_pair = ad.val(pair.recon)[pair.dec.item_rows(0, a.M)][3]
+        solo = M.forward_batch_train([a], model)
+        pair = M.forward_batch_train([a, other], model)
+        h_solo = ad.val(solo.recon)[solo.dec.item_rows(0)][3]
+        h_pair = ad.val(pair.recon)[pair.dec.item_rows(0)][3]
         assert not np.allclose(h_solo, h_pair)
         rows = pair.enc.item_rows(0)
         enc = M._encode_result(ad.val(pair.codes)[rows],
@@ -401,6 +402,22 @@ class TestForward:
                                       ad.val(pair.prebin)[rows] >= 0)
         np.testing.assert_array_equal(np.concatenate(enc.gates, axis=1),
                                       ad.val(pair.gates)[rows])
+
+    def test_binarizer_is_looked_up_at_call_time(self, monkeypatch):
+        # c02 checks the loss's gradients with the sign swapped for its
+        # continuous surrogate; the swap must reach the training forward
+        rng = np.random.default_rng(19)
+        model = build_model(D=5, L=4, encoder_dims=(4, 4, 3), seed=20)
+        seqs = [rand_seq(rng, 12, 5, "a"), rand_seq(rng, 9, 5, "b")]
+        hard = M.forward_batch_train(seqs, model)
+        np.testing.assert_array_equal(
+            ad.val(hard.codes), np.where(ad.val(hard.prebin) >= 0, 1.0, -1.0))
+        monkeypatch.setattr(M, "sgn_ste", sgn_surrogate)
+        soft = M.forward_batch_train(seqs, model)
+        codes = ad.val(soft.codes)
+        np.testing.assert_array_equal(codes,
+                                      np.clip(ad.val(soft.prebin), -1.0, 1.0))
+        assert not np.isin(codes, (-1.0, 1.0)).all()
 
 
 class TestCheckpoint:
@@ -613,16 +630,6 @@ class TestFusedLayer:
             assert fused.max_train_timestep == step.max_train_timestep == 13
             np.testing.assert_allclose(fused.stats, step.stats, rtol=0,
                                        atol=1e-12)
-
-    def test_batch_statistics_leave_running_ones_alone(self):
-        M.bnlstm_layer(self.cell, self.x, self.lay)  # 13 trained steps
-        before = [site.stats.copy() for site in self.cell.sites()]
-        longer = M.Layout([20, 16])
-        x = np.random.default_rng(23).normal(size=(longer.rows, 5))
-        M.bnlstm_layer(self.cell, x, longer, stats="batch")
-        for site, stats in zip(self.cell.sites(), before):
-            assert site.stats.shape == stats.shape
-            assert site.stats.tobytes() == stats.tobytes()
 
     def test_running_stats_match_per_step_infer(self):
         # running statistics away from (0, 1) for steps 1..8 only, so

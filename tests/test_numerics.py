@@ -2,17 +2,19 @@ import numpy as np
 import pytest
 
 from evhash import autodiff as ad
-from evhash.errors import NonDeterministicLoss, NonFiniteGradient, ShapeMismatch
+from evhash.errors import NonFiniteGradient, ShapeMismatch
 from evhash.numerics import (
+    BETA1,
+    BETA2,
+    EPS_HAT,
     AdamConfig,
     BNSiteStats,
     Parameter,
     adam_step,
-    grad_check,
     sgn_ste,
 )
-from tests._reference import bn_transform, scale, square, stats_for, \
-    sum_all, wsum
+from tests._reference import NonDeterministicLoss, bn_transform, \
+    grad_check, scale, square, stats_for, sum_all, wsum
 
 
 class TestBNTransform:
@@ -125,7 +127,7 @@ class TestAdam:
     def test_first_step_hand_value(self):
         p = Parameter(np.array([1.0]), "p")
         p.grad[:] = 1.0
-        cfg = AdamConfig(lr=0.1, eps_hat=1e-8)
+        cfg = AdamConfig(lr=0.1)
         adam_step([p], cfg)
         # m_hat = v_hat = 1 after bias correction: step is lr/(1 + eps)
         np.testing.assert_allclose(p.value, [1.0 - 0.1 / (1 + 1e-8)],
@@ -160,7 +162,7 @@ class TestAdam:
         p = Parameter(rng.normal(size=(5, 7)).astype(dtype), "p")
         value, m, v = p.value.copy(), p.m.copy(), p.v.copy()
         cfg = AdamConfig(lr=3e-3)
-        b1, b2 = cfg.beta1, cfg.beta2
+        b1, b2 = BETA1, BETA2
         for t in range(1, 8):
             g = (rng.normal(size=(5, 7)) * 10.0 ** rng.integers(-6, 3)
                  ).astype(dtype)
@@ -169,7 +171,7 @@ class TestAdam:
             m = m * b1 + (1.0 - b1) * g
             v = v * b2 + (g * g) * (1.0 - b2)
             value -= cfg.lr * (m / (1.0 - b1 ** t)) / (
-                np.sqrt(v / (1.0 - b2 ** t)) + cfg.eps_hat)
+                np.sqrt(v / (1.0 - b2 ** t)) + EPS_HAT)
             for got, want in ((p.value, value), (p.m, m), (p.v, v)):
                 assert got.dtype == dtype
                 assert got.tobytes() == want.tobytes()
