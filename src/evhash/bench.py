@@ -42,6 +42,7 @@ from . import model as model_mod
 from .model import Autoencoder, encode, encode_batch
 
 MIN_COPY, MIN_SLIDE = 4, 2  # the copy grid: steps of duration and slide, s
+_SHOT_S = (2.0, 8.0)        # synth_video's shot lengths are uniform on this, s
 K_MAX = 10                  # the evaluation reports top-k for k = 1..K_MAX
 
 BUCKET_EDGES = (10, 15, 20, 25, 30, 35, 40, 45, 50)
@@ -84,43 +85,49 @@ class CopySpec:
 # -- procedural video --------------------------------------------------------
 
 
-def _shot_gradient(rng, n, fps):
+def _shot_gradient(rng, fps, out):
     yy, xx = np.mgrid[0:64, 0:64].astype(np.float64)
     theta = rng.uniform(0, 2 * np.pi)
     proj = xx * np.cos(theta) + yy * np.sin(theta)
     drift = rng.uniform(-40.0, 40.0)
     lo = rng.uniform(0, 80)
     hi = rng.uniform(160, 255)
-    t = np.arange(n)[:, None, None] / fps
-    phase = np.mod(proj[None] + drift * t, 64.0) / 64.0
-    return lo + (hi - lo) * phase
+    # the phase mod(proj + drift t, 64) / 64, as y - floor(y) for y = proj
+    # / 64 + drift t / 64: scaling by a power of two is exact, so both
+    # round the same exact value once
+    t = np.arange(len(out)) / fps
+    np.add(proj / 64.0, (drift * t / 64.0)[:, None, None], out=out)
+    out -= np.floor(out)
+    out *= hi - lo
+    out += lo
 
 
-def _shot_rectangle(rng, n, fps):
+def _shot_rectangle(rng, fps, out):
     bg = rng.uniform(10, 90)
     fg = rng.uniform(150, 250)
     w, h = rng.integers(8, 33, size=2)
     x0, y0 = rng.uniform(0, 64, size=2)
     vx, vy = rng.uniform(-25, 25, size=2)
-    frames = np.full((n, 64, 64), bg)
-    for i in range(n):
-        x = (x0 + vx * i / fps) % 64
-        y = (y0 + vy * i / fps) % 64
-        cols = (np.arange(64) - x) % 64 < w
-        rows = (np.arange(64) - y) % 64 < h
-        frames[i][np.outer(rows, cols)] = fg
-    return frames
+    i, px = np.arange(len(out)), np.arange(64)
+    cols = (px - ((x0 + vx * i / fps) % 64)[:, None]) % 64 < w
+    rows = (px - ((y0 + vy * i / fps) % 64)[:, None]) % 64 < h
+    out[...] = bg
+    np.copyto(out, fg, where=rows[:, :, None] & cols[:, None, :])
 
 
-def _shot_sinusoid(rng, n, fps):
+def _shot_sinusoid(rng, fps, out):
     yy, xx = np.mgrid[0:64, 0:64].astype(np.float64)
     fx, fy = rng.uniform(0.02, 0.12, size=2)
     omega = rng.uniform(0.5, 4.0)
     phi = rng.uniform(0, 2 * np.pi)
     amp = rng.uniform(50, 120)
-    t = np.arange(n)[:, None, None] / fps
-    return 128.0 + amp * np.sin(
-        2 * np.pi * (fx * xx + fy * yy)[None] + omega * t + phi)
+    t = np.arange(len(out)) / fps
+    np.add(2 * np.pi * (fx * xx + fy * yy), (omega * t)[:, None, None],
+           out=out)
+    out += phi
+    np.sin(out, out=out)
+    out *= amp
+    out += 128.0
 
 
 _SHOT_KINDS = (_shot_gradient, _shot_rectangle, _shot_sinusoid)
@@ -129,21 +136,29 @@ _SHOT_KINDS = (_shot_gradient, _shot_rectangle, _shot_sinusoid)
 def synth_video(seed: int, duration_s: float, fps: int = 25) -> FrameSequence:
     """Procedural 64x64 grayscale video: 2-8 s shots of moving patterns.
 
-    The same seed always produces bit-identical frames.
+    The same seed always produces bit-identical frames; their digests are
+    pinned in ``tests/test_setup_digests.py``. Each shot renders its gray
+    levels into one reused float64 buffer, which is rounded half up and
+    clipped into the uint8 frames.
     """
     if duration_s < 4:
         raise TooShort(f"need at least 4 s, got {duration_s}")
     rng = np.random.default_rng(seed)
     n = int(round(duration_s * fps))
-    chunks = []
-    left = n
-    while left > 0:
-        shot_n = min(left, int(round(rng.uniform(2.0, 8.0) * fps)))
+    frames = np.empty((n, 64, 64), np.uint8)
+    scratch = np.empty((min(n, int(round(_SHOT_S[1] * fps))), 64, 64))
+    at = 0
+    while at < n:
+        shot_n = min(n - at, int(round(rng.uniform(*_SHOT_S) * fps)))
         kind = _SHOT_KINDS[rng.integers(0, len(_SHOT_KINDS))]
-        chunks.append(kind(rng, shot_n, fps))
-        left -= shot_n
-    frames = np.clip(np.floor(np.concatenate(chunks) + 0.5), 0, 255)
-    return FrameSequence(64, 64, Fraction(fps), frames.astype(np.uint8))
+        buf = scratch[:shot_n]
+        kind(rng, fps, buf)
+        # after the clip the cast truncates, which on [0, 255] is floor
+        buf += 0.5
+        np.clip(buf, 0, 255, out=buf)
+        frames[at:at + shot_n] = buf
+        at += shot_n
+    return FrameSequence(64, 64, Fraction(fps), frames)
 
 
 # -- copy synthesis -----------------------------------------------------------

@@ -215,6 +215,15 @@ def _positive_ints(text: str) -> list[int]:
     return [_positive_int(t) for t in text.split(",")]
 
 
+# a synthetic video is at least one copy long
+_duration = _int_at_least(bench.MIN_COPY,
+                          f"a whole number of seconds >= {bench.MIN_COPY}")
+
+
+def _durations(text: str) -> list[int]:
+    return [_duration(t) for t in text.split(",")]
+
+
 def _sample_period(text: str) -> float:
     """--ts: a sampling period of at least one encoder step once rounded."""
     value = float(text)  # argparse reports a ValueError as an invalid value
@@ -248,11 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("synth", cmd_synth, "generate a synthetic corpus + copy specs")
     sp.add_argument("--out-dir", required=True)
-    sp.add_argument("--count", type=int, default=20)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--min-duration", type=int, default=20)
-    sp.add_argument("--max-duration", type=int, default=60)
-    sp.add_argument("--durations", type=_positive_ints,
+    sp.add_argument("--count", type=_positive_int, default=20)
+    sp.add_argument("--seed", type=_nonnegative_int, default=0)
+    sp.add_argument("--min-duration", type=_duration, default=20)
+    sp.add_argument("--max-duration", type=_duration, default=60)
+    sp.add_argument("--durations", type=_durations,
                     help="comma-separated seconds, overrides --count/--min/--max")
 
     sp = add("ingest", cmd_ingest, "FSEQ -> FEAT feature extraction")
@@ -340,6 +349,11 @@ def main(argv=None) -> int:
         if args.command == "train" and args.ckpt_dir and not args.ckpt_every:
             args.parser.error("argument --ckpt-dir: needs --ckpt-every "
                               "above 0")
+        if (args.command == "synth"
+                and args.min_duration > args.max_duration):
+            args.parser.error(f"argument --max-duration: must be at least "
+                              f"--min-duration ({args.min_duration}), got "
+                              f"{args.max_duration}")
     except SystemExit as e:
         return 0 if e.code == 0 else 1
     try:

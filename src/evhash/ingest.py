@@ -3,8 +3,10 @@
 Raw videos arrive as FSEQ files (pre-decoded grayscale frames). They are
 brought to 25 fps and thinned to every second frame; only the kept frames
 are then brought to 64x64 grayscale and transformed to low-frequency DCT
-coefficients, a block of frames per batched call, and the features are
-normalized with train-set statistics.
+coefficients, and the features are normalized with train-set statistics.
+The frames go through in blocks of about 1 MB of float64, which stay in
+cache: one batched downscale, with area weights built once per video, and
+one batched DCT per block, which works in place on the block's own copy.
 
 Binary formats, read with :class:`evhash.binfile.Reader` (which checks
 the magic, the version, every declared size and trailing bytes):
@@ -42,9 +44,10 @@ from .errors import (
 
 FEATURE_DIM = 1024
 _DCT_KEEP = 32
-# float64 values per block in extract_features (about 8 MB of scratch), or
-# one frame where a frame holds more
-_BLOCK_PIXELS = 2 ** 20
+# float64 values per block in extract_features (1 MB of scratch, which
+# stays in cache; 2**15 to 2**18 ran equally fast, 2**20 slower), or one
+# frame where a frame holds more
+_BLOCK_PIXELS = 2 ** 17
 _LUMA = np.array([0.299, 0.587, 0.114])
 
 
@@ -215,41 +218,51 @@ def resample_to_25fps(seq: FrameSequence) -> FrameSequence:
 
 def _area_weights(n_src: int, n_dst: int) -> np.ndarray:
     """(n_dst, n_src) matrix of exact box-filter overlap fractions."""
-    w = np.zeros((n_dst, n_src))
     step = n_src / n_dst
-    for i in range(n_dst):
-        lo, hi = i * step, (i + 1) * step
-        first, last = int(np.floor(lo)), min(int(np.ceil(hi)), n_src)
-        for s in range(first, last):
-            overlap = min(hi, s + 1) - max(lo, s)
-            if overlap > 0:
-                w[i, s] = overlap / step
-    return w
+    dst = np.arange(n_dst, dtype=np.float64)[:, None]
+    src = np.arange(n_src, dtype=np.float64)
+    overlap = (np.minimum((dst + 1) * step, src + 1)
+               - np.maximum(dst * step, src))
+    return np.divide(overlap, step, out=np.zeros_like(overlap),
+                     where=overlap > 0)
 
 
-def _gray64(frames: np.ndarray) -> np.ndarray:
-    """(n, 64, 64) float64 8-bit gray levels of an (n, h, w) frame stack.
+def _frame_weights(h: int, w: int):
+    """The row and column area weights that bring h x w frames to 64x64,
+    or None for 64x64 frames."""
+    if h < 1 or w < 1:
+        raise EmptyFrame("frame has no pixels")
+    if (h, w) == (64, 64):
+        return None
+    return _area_weights(h, 64), _area_weights(w, 64)
+
+
+def _gray64(frames: np.ndarray, weights) -> np.ndarray:
+    """(n, 64, 64) float64 8-bit gray levels of an (n, h, w) frame stack,
+    in a new array; ``weights`` is ``_frame_weights(h, w)``.
 
     Area averaging, then rounding half up and clipping to [0, 255]. Both
     are the identity on 64x64 uint8 frames, which are only converted.
     """
-    h, w = frames.shape[1:]
-    if h < 1 or w < 1:
-        raise EmptyFrame("frame has no pixels")
     x = frames.astype(np.float64)
-    if (h, w) != (64, 64):
-        x = _area_weights(h, 64) @ x @ _area_weights(w, 64).T
+    if weights is not None:
+        x = weights[0] @ x @ weights[1].T
     elif frames.dtype == np.uint8:
         return x
-    return np.clip(np.floor(x + 0.5), 0, 255)
+    x += 0.5
+    np.floor(x, out=x)
+    return np.clip(x, 0, 255, out=x)
 
 
-def _dct_rows(x: np.ndarray) -> np.ndarray:
-    """(n, FEATURE_DIM) DCT features of an (n, 64, 64) float64 stack."""
-    coeffs = _fft.dctn(x / 255.0, type=2, norm="ortho", axes=(1, 2))
-    rows = coeffs[:, :_DCT_KEEP, :_DCT_KEEP].reshape(len(x), FEATURE_DIM)
+def _dct_rows(x: np.ndarray, rows: np.ndarray) -> None:
+    """Write the DCT features of an (n, 64, 64) float64 stack of gray
+    levels, which it overwrites, into the C-contiguous ``rows`` (n,
+    FEATURE_DIM), through a reshaped view."""
+    x /= 255.0
+    coeffs = _fft.dctn(x, type=2, norm="ortho", axes=(1, 2), overwrite_x=True)
+    rows.reshape(len(x), _DCT_KEEP, _DCT_KEEP)[...] = \
+        coeffs[:, :_DCT_KEEP, :_DCT_KEEP]
     rows[:, 0] = 0.0
-    return rows
 
 
 def downscale_gray64(frame: np.ndarray) -> np.ndarray:
@@ -262,7 +275,8 @@ def downscale_gray64(frame: np.ndarray) -> np.ndarray:
         frame = np.floor(frame.astype(np.float64) @ _LUMA + 0.5)
     elif frame.ndim != 2:
         raise WrongDimensions(f"expected HxW or HxWx3 frame, got {frame.shape}")
-    return _gray64(frame[None])[0].astype(np.uint8)
+    return _gray64(frame[None], _frame_weights(*frame.shape))[0].astype(
+        np.uint8)
 
 
 def dct_features(frame: np.ndarray) -> np.ndarray:
@@ -275,7 +289,9 @@ def dct_features(frame: np.ndarray) -> np.ndarray:
     """
     if frame.ndim != 2 or frame.shape != (64, 64):
         raise WrongDimensions(f"expected a 64x64 frame, got {frame.shape}")
-    return _dct_rows(frame.astype(np.float64)[None])[0]
+    row = np.empty((1, FEATURE_DIM))
+    _dct_rows(frame.astype(np.float64)[None], row)
+    return row[0]
 
 
 def drop_alternate(features: np.ndarray, video_id: str = "") -> FeatureSequence:
@@ -311,17 +327,20 @@ def extract_features(seq: FrameSequence, video_id: str = "") -> FeatureSequence:
 
     Only the kept frames (``kept_frame_index``: even indices of the 25 fps
     sequence) are gathered, about ``_BLOCK_PIXELS`` pixels at a time, and each
-    block goes through one batched downscale and one batched DCT. The
+    block goes through one batched downscale and one batched DCT, which
+    overwrites the block's float64 copy; the area weights are built once,
+    and each block's coefficients go straight into the returned rows. The
     rows equal those of ``drop_alternate`` over ``dct_features(
     downscale_gray64(frame))`` of every resampled frame.
     """
     keep = kept_frame_index(seq)
     # frames smaller than 64x64 grow in the downscale
     step = max(1, _BLOCK_PIXELS // max(64 * 64, seq.width * seq.height))
+    weights = _frame_weights(seq.height, seq.width)
     rows = np.empty((len(keep), FEATURE_DIM))
     for lo in range(0, len(keep), step):
         block = seq.frames[keep[lo:lo + step]]
-        rows[lo:lo + step] = _dct_rows(_gray64(block))
+        _dct_rows(_gray64(block, weights), rows[lo:lo + step])
     return FeatureSequence(video_id, rows)
 
 
@@ -336,7 +355,10 @@ def compute_norm_stats(train: list[FeatureSequence]) -> NormStats:
         raise DoubleNormalize("train statistics expect raw features")
     stacked = np.concatenate([s.features for s in train], axis=0)
     mean = stacked.mean(axis=0)
-    std = np.maximum(stacked.std(axis=0), 1e-8)
+    # np.std's own steps, on the mean that np.std would compute again
+    stacked -= mean
+    stacked *= stacked
+    std = np.maximum(np.sqrt(stacked.sum(axis=0) / len(stacked)), 1e-8)
     return NormStats(mean=mean, std=std)
 
 

@@ -26,6 +26,9 @@ each window on its own, and :func:`pool_event_hash` pools one event.
 :func:`video_distance` and :func:`event_min_distance` run the same
 kernel on a one-entry store.
 
+``evhash.ingest._area_weights`` builds the box-filter weights in whole
+arrays; :func:`area_weights` walks them one source pixel at a time.
+
 The finite-difference harness: :func:`grad_check` compares tape
 gradients with central differences, and :func:`sgn_surrogate`, patched
 over ``evhash.model.sgn_ste``, makes the training loss continuous enough
@@ -475,6 +478,23 @@ def batch_loss_per_item(model, seqs, th: int):
     div = diversity_loss_graph(codes_items, L)
     total = addn([recon_term, scale(addn(per_video_mem), 1.0 / b), div])
     return total, total_loss(recon_vals, mem_vals, float(val(div)))
+
+
+# -- ingest, one weight at a time ----------------------------------------
+
+
+def area_weights(n_src: int, n_dst: int) -> np.ndarray:
+    """``evhash.ingest._area_weights`` one overlap at a time."""
+    w = np.zeros((n_dst, n_src))
+    step = n_src / n_dst
+    for i in range(n_dst):
+        lo, hi = i * step, (i + 1) * step
+        first, last = int(np.floor(lo)), min(int(np.ceil(hi)), n_src)
+        for s in range(first, last):
+            overlap = min(hi, s + 1) - max(lo, s)
+            if overlap > 0:
+                w[i, s] = overlap / step
+    return w
 
 
 # -- event detection and pooling, one at a time ---------------------------

@@ -1,5 +1,6 @@
 import csv
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -66,6 +67,18 @@ class TestSynthVideo:
     def test_too_short(self):
         with pytest.raises(TooShort):
             synth_video(0, 3)
+
+    def test_peak_memory(self):
+        # the uint8 frames (5.9 MB here) and one float64 shot buffer; shots
+        # rendered into arrays of their own and then concatenated peaked at
+        # 140.6 MB
+        tracemalloc.start()
+        try:
+            synth_video(11, 60)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 << 20, f"synth_video peaked at {peak} bytes"
 
 
 class TestMakeCopies:

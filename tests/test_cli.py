@@ -83,6 +83,14 @@ class TestBadValues:
         ("eval", "--ts", "0.159"),
         ("eval", "--modes", "events,foo"),
         ("synth", "--durations", "8,x"),
+        # numpy seeds are non-negative; a corpus has a video, and every
+        # video is at least one copy (bench.MIN_COPY = 4 s) long
+        ("synth", "--seed", "-1"),
+        ("synth", "--count", "0"),
+        ("synth", "--count", "-1"),
+        ("synth", "--min-duration", "3"),
+        ("synth", "--max-duration", "0"),
+        ("synth", "--durations", "8,3"),
     ])
     def test_usage_error(self, tmp_path, monkeypatch, capsys, command, flag,
                          value):
@@ -93,6 +101,13 @@ class TestBadValues:
         # the gate loss splits transitions at d_t >= th, and d_t <= L
         self.check(tmp_path, monkeypatch, capsys, "train", "--th",
                    ["9", "--L", "8"])
+
+    @pytest.mark.parametrize("values", [["20", "--min-duration", "30"],
+                                        ["3", "--min-duration", "2"]])
+    def test_synth_duration_range(self, tmp_path, monkeypatch, capsys,
+                                  values):
+        self.check(tmp_path, monkeypatch, capsys, "synth", "--max-duration",
+                   values)
 
     def check(self, tmp_path, monkeypatch, capsys, command, flag, values):
         monkeypatch.chdir(tmp_path)

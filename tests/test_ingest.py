@@ -32,6 +32,7 @@ from evhash.ingest import (
     resample_to_25fps,
     write_fseq,
 )
+from tests._reference import area_weights
 
 
 def naive_dct2(frame01: np.ndarray) -> np.ndarray:
@@ -195,6 +196,13 @@ class TestDownscale:
         assert out[5, 10] == 200
         assert out.sum() == 200
 
+    def test_area_weights_equal_the_loop(self):
+        for n_src in [*range(1, 301), 720, 1080, 1920]:
+            got = ingest._area_weights(n_src, 64)
+            np.testing.assert_array_equal(
+                got.view(np.int64), area_weights(n_src, 64).view(np.int64),
+                err_msg=f"{n_src} source pixels")
+
 
 class TestDctFeatures:
     def test_constant_frame_all_zero(self):
@@ -266,8 +274,8 @@ def reference_features(seq: FrameSequence) -> np.ndarray:
     for frame in resample_to_25fps(seq).frames[::2]:
         h, w = frame.shape
         if (h, w) != (64, 64):
-            x = (ingest._area_weights(h, 64) @ frame.astype(np.float64)
-                 @ ingest._area_weights(w, 64).T)
+            x = (area_weights(h, 64) @ frame.astype(np.float64)
+                 @ area_weights(w, 64).T)
             frame = np.clip(np.floor(x + 0.5), 0, 255).astype(np.uint8)
         coeffs = scipy.fft.dctn(frame.astype(np.float64) / 255.0, type=2,
                                 norm="ortho")
