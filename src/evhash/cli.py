@@ -115,7 +115,8 @@ def cmd_hash(args) -> int:
     net = model_mod.load_model(args.model)
     feats = _load_normalized(args.feat, args.stats)
     enc = model_mod.encode(feats, net)
-    duration = args.duration if args.duration else 2.0 * feats.M / 25.0
+    duration = (2.0 * feats.M / 25.0 if args.duration is None
+                else args.duration)
     vh = hashing.hash_video(enc, args.mode, _detect_cfg(args), args.ts,
                             feats.video_id, duration)
     hashing.write_video_hash(vh, args.outfile)
@@ -211,6 +212,15 @@ def _learning_rate(text: str) -> float:
     return value
 
 
+def _hash_duration(text: str) -> float:
+    """--duration: finite, > 0 and within float32, as VHDB stores it."""
+    value = float(text)  # argparse reports a ValueError as an invalid value
+    if not 0 < value <= float(np.finfo(np.float32).max):
+        raise argparse.ArgumentTypeError(
+            f"expected a duration > 0 within float32, got {text!r}")
+    return value
+
+
 def _positive_ints(text: str) -> list[int]:
     return [_positive_int(t) for t in text.split(",")]
 
@@ -298,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=hashing.MODES, default="events")
     sp.add_argument("--ts", type=_sample_period, default=4.0)
     sp.add_argument("--th", type=_positive_int, default=16)
-    sp.add_argument("--duration", type=float,
+    sp.add_argument("--duration", type=_hash_duration,
                     help="true duration in seconds (default: 2*M/25)")
 
     sp = add("db-build", cmd_db_build, "hash files -> VHDB database")

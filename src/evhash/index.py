@@ -6,26 +6,35 @@ at least one event. Codes are stored bit-packed (least significant bit
 first within each byte), one ``DbEntry`` per video id.
 
 ``query_topk`` scans the whole database at once, from a scan store that
-the database keeps between queries. The store groups the entries by event
-count: bucket ``e`` holds the events of every entry with ``e`` events as
-one (e, n_e, ceil(L/64)) uint64 word array, event-major, each event's
-packed bytes zero-padded to whole words; beside it lies each entry's
-insertion position, and the store keeps the ids in insertion order.
-Bucket arrays grow 1.25-fold, and their spare room is left unwritten.
+the database keeps between queries. The store holds every event as one
+column of a (W, slots) uint64 array, W = ceil(L/64): word w of an event,
+its packed bytes zero-padded to whole words, lies in row w. The columns
+form one region per event count e, in ascending order of e; region e is
+e event-major rows of cap_e slots each, so the i-th entry with e events
+keeps its event j in column j * cap_e + i of the region. Slots beyond a
+region's entries are spare: they are left unwritten, scanned with their
+region and dropped. A region that outgrows its slots lays the whole array
+out again, with 1.25 times the entries it must hold. The store keeps the
+ids in insertion order and, per slot, the entry's insertion position.
 
-Per bucket and per block of its entries, a query XORs all its events
-against the block at once, popcounts and sums the words, takes the
-minimum over the bucket's event axis, sums over the query's events and
-writes the int64 totals at the entries' insertion positions. A block
-XORs at most 2**15 words (one entry's events against one query event,
-when that is more), so a query's scratch does not grow with the database;
-its only per-entry arrays are the totals and the top-k selection.
+A query scans the array in chunks of whole regions, each at most
+``_BLOCK_WORDS`` words unless one region is more. Per chunk and query
+event it XORs the event against the chunk and popcounts the words into
+a row of an (E_q, chunk) count table; per region it takes the minimum
+over the region's e rows, stored entries only, into an (E_q, slots)
+table whose spare slots hold L + 1; one sum over the query's events gives
+each of the chunk's slots its total, so a spare slot's total is above
+any entry's and the top-k never picks it. A query's scratch is one
+chunk's words and two tables of E_q small counts per chunk column or
+slot, bounded by the chunk, not by the database; its only per-slot
+arrays are the totals and the top-k selection.
 
 The database is append-only: ``db.entries`` is a read-only view, and
 ``db_add`` and ``db_load`` are its only writers. So the store is never
 rebuilt: a query first extends it with the entries added since the last
-one, with no work per stored entry. An entry must not change once added:
-the store holds its own copy of the entry's events.
+one, with no work per stored entry unless a region must grow. An entry
+must not change once added: the store holds its own copy of the entry's
+events.
 
 VHDB file, read with :class:`evhash.binfile.Reader` (little-endian):
 magic "VHDB", version u8=1, mode u8 (0=events, 1=sample,
@@ -37,6 +46,7 @@ event_count * ceil(L/8) packed code bytes; nothing after the last video.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import islice
@@ -51,6 +61,7 @@ from .errors import (
     EmptyEntry,
     LengthMismatch,
     ModeMismatch,
+    OutOfRange,
     ShapeMismatch,
     UnsupportedVersion,
 )
@@ -79,64 +90,136 @@ def _check_packed(vid, packed: np.ndarray, L: int) -> None:
         raise EmptyEntry(f"{vid!r} has no events")
 
 
-class _Bucket:
-    """The entries with ``e`` events each, as words, event-major.
+_F32 = struct.Struct("<f")
+_F32_MAX = float(np.finfo(np.float32).max)
 
-    ``words[j, i]`` holds event j of the bucket's i-th entry for ``i < n``,
-    and ``pos[i]`` that entry's insertion position. Both arrays grow to
-    1.25 times what they must hold, so appends are amortised copies; spare
-    room is left unwritten, so its pages stay out of memory until used.
-    """
 
-    GROWTH = 1.25
+def _f32_seconds(vid, seconds: float) -> float:
+    """``seconds`` rounded to the float32 that VHDB stores; it must be
+    finite, >= 0 and no more than float32's largest value."""
+    if not 0 <= seconds <= _F32_MAX:
+        raise OutOfRange(f"{vid!r}: duration {seconds} s is not a finite "
+                         f"float32 >= 0")
+    return _F32.unpack(_F32.pack(seconds))[0]
 
-    def __init__(self, e: int, W: int):
-        self.words = np.empty((e, 0, W), np.uint64)
-        self.pos = np.empty(0, np.intp)
-        self.n = 0
 
-    def extend(self, pos: list[int], packed: list[np.ndarray]) -> None:
-        n = self.n + len(pos)
-        if n > len(self.pos):
-            e, _, W = self.words.shape
-            grown = np.empty((e, int(n * self.GROWTH), W), np.uint64)
-            grown[:, :self.n] = self.words[:, :self.n]
-            self.words = grown
-            grown = np.empty(grown.shape[1], np.intp)
-            grown[:self.n] = self.pos[:self.n]
-            self.pos = grown
-        added = self.words[:, self.n:n]
-        added[..., -1] = 0  # the last word holds every padding byte
-        rows = np.concatenate(packed).reshape(len(pos), len(added), -1)
-        added.view(np.uint8)[..., :rows.shape[2]] = rows.transpose(1, 0, 2)
-        self.pos[self.n:n] = pos
-        self.n = n
+def _to_words(packed: np.ndarray, W: int) -> np.ndarray:
+    """(n, ceil(L/8)) packed bytes -> (n, W) words, zero-padded."""
+    words = np.zeros((len(packed), W), np.uint64)
+    words.view(np.uint8)[:, :packed.shape[1]] = packed
+    return words
+
+
+# words a query XORs per chunk (or one region's, if more): bounds the scratch
+_BLOCK_WORDS = 1 << 15
+# a region that outgrows its slots gets this many times the entries it holds
+_GROWTH = 1.25
 
 
 class _Store:
-    """What ``query_topk`` scans: every entry's events, bucketed by event
-    count, and the ids of the entries in insertion order."""
+    """What ``query_topk`` scans: every entry's events as word columns in
+    regions by event count, and the ids of the entries in insertion order.
+
+    ``regions`` maps each event count e, ascending, to [first column,
+    first slot, slots, entries]; ``pos`` holds each stored entry's
+    insertion position at its slot. ``chunks`` is the scan plan, which
+    changes only with the layout: per chunk its (W, columns) words, its
+    slots [s0, s1) and, per region in it, (first column and first slot in
+    the chunk, e, slots, the region's list).
+    """
 
     def __init__(self, L: int):
         self.L = L
         self.ids: list[str] = []
-        self.buckets: dict[int, _Bucket] = {}
+        self.words = np.empty((_word_count(L), 0), np.uint64)
+        self.pos = np.empty(0, np.intp)
+        self.regions: dict[int, list[int]] = {}
+        self.chunks: list = []
+        self.chunk_cols = self.chunk_slots = 0
+        # one event's distance, and L + 1 for a spare slot
+        self.dist = np.min_scalar_type(64 * len(self.words))
+
+    def _region(self, e: int) -> tuple[np.ndarray, np.ndarray]:
+        """Region ``e``'s (W, e, slots) words and (slots,) positions."""
+        col, slot, slots, _ = self.regions[e]
+        return (self.words[:, col:col + e * slots].reshape(-1, e, slots),
+                self.pos[slot:slot + slots])
 
     def extend(self, ids: list[str], entries: list[DbEntry]) -> None:
         """Append ``entries`` under ``ids``. Every entry is checked first,
         so a bad one leaves the store as it was."""
-        groups: dict[int, tuple[list[int], list[np.ndarray]]] = {}
-        for i, (vid, entry) in enumerate(zip(ids, entries), len(self.ids)):
-            _check_packed(vid, entry.packed, self.L)
-            pos, packed = groups.setdefault(len(entry.packed), ([], []))
-            pos.append(i)
-            packed.append(entry.packed)
-        for e, (pos, packed) in groups.items():
-            bucket = self.buckets.get(e)
-            if bucket is None:
-                bucket = self.buckets[e] = _Bucket(e, _word_count(self.L))
-            bucket.extend(pos, packed)
+        packed = [entry.packed for entry in entries]
+        try:
+            counts = np.fromiter(map(len, packed), np.intp, len(packed))
+            # the new entries by event count, ascending, each group in
+            # insertion order
+            order = np.argsort(counts, kind="stable")
+            rows = np.concatenate([packed[i] for i in order.tolist()])
+            valid = counts.all() and rows.shape[1:] == ((self.L + 7) // 8,)
+        except (TypeError, ValueError):  # unsized or mismatched arrays
+            valid = False
+        if not valid:  # raise for the first bad entry
+            for vid, p in zip(ids, packed):
+                _check_packed(vid, p, self.L)
+        by_e = counts[order].tolist()
+        groups, a = [], 0
+        while a < len(by_e):
+            b = bisect_right(by_e, by_e[a], a)
+            groups.append((by_e[a], a, b))
+            a = b
+        grown = {}
+        for e, a, b in groups:
+            _, _, slots, n = self.regions.get(e, (0, 0, 0, 0))
+            if n + b - a > slots:
+                grown[e] = int((n + b - a) * _GROWTH)
+        if grown:
+            self._lay_out(grown)
+        rows = _to_words(rows, len(self.words))
+        order += len(self.ids)
+        row = 0
+        for e, a, b in groups:
+            region = self.regions[e]
+            words, pos = self._region(e)
+            n, m = region[3], b - a
+            words[:, :, n:n + m] = rows[row:row + m * e].reshape(m, e, -1).T
+            pos[n:n + m] = order[a:b]
+            region[3] += m
+            row += m * e
         self.ids += ids
+
+    def _lay_out(self, grown: dict[int, int]) -> None:
+        """Move every region into new arrays, giving each event count in
+        ``grown`` that many slots, and plan the scan anew."""
+        slots = {e: s for e, (_, _, s, _) in self.regions.items()} | grown
+        old = [(e, *self._region(e), n)
+               for e, (_, _, _, n) in self.regions.items()]
+        self.words = np.empty(
+            (len(self.words), sum(e * s for e, s in slots.items())),
+            np.uint64)
+        self.pos = np.empty(sum(slots.values()), np.intp)
+        self.regions, col, slot = {}, 0, 0
+        for e in sorted(slots):
+            self.regions[e] = [col, slot, slots[e], 0]
+            col, slot = col + e * slots[e], slot + slots[e]
+        for e, words, pos, n in old:
+            new_words, new_pos = self._region(e)
+            new_words[:, :, :n] = words[:, :, :n]
+            new_pos[:n] = pos[:n]
+            self.regions[e][3] = n
+        W, chunks = len(self.words), []
+        for e, region in self.regions.items():
+            col, slot, slots, _ = region
+            end = col + e * slots
+            if not chunks or W * (end - chunks[-1][0]) > _BLOCK_WORDS:
+                chunks.append([col, end, slot, slot, []])
+            chunk = chunks[-1]
+            chunk[4].append((col - chunk[0], slot - chunk[2], e, slots,
+                             region))
+            chunk[1], chunk[3] = end, slot + slots
+        self.chunks = [(self.words[:, c0:c1], s0, s1, regions)
+                       for c0, c1, s0, s1, regions in chunks]
+        self.chunk_cols = max(c1 - c0 for c0, c1, *_ in chunks)
+        self.chunk_slots = max(s1 - s0 for _, _, s0, s1, _ in chunks)
 
 
 class HashDatabase:
@@ -173,22 +256,24 @@ class HashDatabase:
         """The scan store, extended by the entries added since the last
         call."""
         entries, store = self._entries, self._store
-        if len(entries) > len(store.ids):
-            new = list(islice(reversed(entries),
-                              len(entries) - len(store.ids)))[::-1]
-            store.extend(new, [entries[vid] for vid in new])
+        n = len(entries) - len(store.ids)
+        if n:
+            store.extend(list(islice(reversed(entries), n))[::-1],
+                         list(islice(reversed(entries.values()), n))[::-1])
         return store
 
 
 def db_add(db: HashDatabase, vh: VideoHash) -> None:
+    """Add ``vh`` under its id. Its duration is stored as the float32 that
+    VHDB writes, so a saved database loads back equal."""
     if vh.L != db.L:
         raise LengthMismatch(f"hash L={vh.L}, database L={db.L}")
     if vh.mode != db.mode:
         raise ModeMismatch(f"hash mode {vh.mode!r}, database {db.mode!r}")
     if vh.video_id in db._entries:
         raise DuplicateId(f"{vh.video_id!r} already stored")
-    db._entries[vh.video_id] = DbEntry(pack_codes(vh.events),
-                                       float(vh.duration_seconds))
+    db._entries[vh.video_id] = DbEntry(
+        pack_codes(vh.events), _f32_seconds(vh.video_id, vh.duration_seconds))
 
 
 _VHDB_HEADER = struct.Struct("<4sBBII")
@@ -202,6 +287,7 @@ def db_save(db: HashDatabase, path) -> None:
     opened, so a bad entry leaves no partial file behind."""
     for vid, entry in db.entries.items():
         _check_packed(vid, entry.packed, db.L)
+        _f32_seconds(vid, entry.duration_seconds)
     with open(path, "wb") as f:
         f.write(_VHDB_HEADER.pack(b"VHDB", 1, _MODE_CODE[db.mode], db.L,
                                   len(db.entries)))
@@ -238,51 +324,51 @@ def db_load(path) -> HashDatabase:
 
 # -- distances ---------------------------------------------------------------
 
-# words XORed at a time (or one entry's events, if more): bounds the scratch
-_BLOCK_WORDS = 1 << 15
-
 
 def _words(bits: np.ndarray, L: int) -> np.ndarray:
     """(E, L) {0, 1} bits -> (E, ceil(L/64)) words, packed as ``pack_codes``
     packs them and zero-padded."""
-    packed = pack_codes(bits)
-    words = np.zeros((len(packed), _word_count(L)), np.uint64)
-    words.view(np.uint8)[:, :packed.shape[1]] = packed
-    return words
+    return _to_words(pack_codes(bits), _word_count(L))
 
 
 def _entry_totals(q_words: np.ndarray, store: _Store) -> np.ndarray:
-    """Per entry of ``store``, in insertion order, the sum over query events
-    of the minimum Hamming distance to the entry's events (int64)."""
+    """Per slot of ``store`` (``store.pos`` gives the entry's insertion
+    position), the sum over query events of the minimum Hamming distance
+    to the entry's events; a spare slot's total is above any entry's."""
     E_q, W = q_words.shape
-    q = q_words[:, None, None]  # broadcasts over a block's (e, B)
-    total = np.empty(len(store.ids), np.int64)
-    for e, b in store.buckets.items():
-        # query events and entries per block: qn * e * W * step words, at
-        # most _BLOCK_WORDS unless one entry against one event is more
-        qn = min(E_q, max(1, _BLOCK_WORDS // (e * W)))
-        step = max(1, _BLOCK_WORDS // (qn * e * W))
-        for i0 in range(0, b.n, step):
-            i1 = min(i0 + step, b.n)
-            block = b.words[:, i0:i1]
-            sums = _min_sums(q[:qn], block)
-            for q0 in range(qn, E_q, qn):
-                sums += _min_sums(q[q0:q0 + qn], block)
-            total[b.pos[i0:i1]] = sums
+    spare, dist = store.L + 1, store.dist
+    # query events XORed at a time: all of them against a small chunk
+    qn = min(E_q, max(1, _BLOCK_WORDS // (W * store.chunk_cols)))
+    x = np.empty((qn, W, store.chunk_cols), np.uint64)
+    counts = np.empty((E_q, store.chunk_cols), dist)
+    table = np.empty((E_q, store.chunk_slots), dist)
+    # np.partition is far slower on uint8 than on uint16
+    total = np.empty(len(store.pos), np.min_scalar_type(max(E_q * spare,
+                                                            1 << 8)))
+    for block, s0, s1, regions in store.chunks:
+        n = block.shape[1]
+        for i in range(0, E_q, qn):
+            xb = x[:E_q - i, :, :n]
+            np.bitwise_xor(block, q_words[i:i + qn, :, None], out=xb)
+            if W == 1:
+                np.bitwise_count(xb[:, 0], out=counts[i:i + qn, :n])
+            else:
+                np.add.reduce(np.bitwise_count(xb), axis=1, dtype=dist,
+                              out=counts[i:i + qn, :n])
+        table.fill(spare)
+        # a copy costs less than a reduction over one row
+        for lo, t, e, slots, (_, _, _, m) in regions:
+            if e == 1:
+                table[:, t:t + m] = counts[:, lo:lo + m]
+            else:
+                np.minimum.reduce(counts[:, lo:lo + e * slots].reshape(
+                    E_q, e, slots)[..., :m], axis=1, out=table[:, t:t + m])
+        if E_q == 1:
+            total[s0:s1] = table[0, :s1 - s0]
+        else:
+            np.add.reduce(table[:, :s1 - s0], axis=0, dtype=total.dtype,
+                          out=total[s0:s1])
     return total
-
-
-def _min_sums(q_words: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """Per entry of an (e, B, W) ``block``, the sum over the (E_q, 1, 1, W)
-    query events of the minimum Hamming distance to the entry's e events
-    (int64)."""
-    count = np.bitwise_count(q_words ^ block)
-    W = block.shape[-1]
-    dist = (count[..., 0] if W == 1
-            else np.add.reduce(count, axis=-1,
-                               dtype=np.min_scalar_type(64 * W)))
-    return np.add.reduce(np.minimum.reduce(dist, axis=1), axis=0,
-                         dtype=np.int64)
 
 
 def query_topk(db: HashDatabase, query: VideoHash, k: int):
@@ -298,11 +384,11 @@ def query_topk(db: HashDatabase, query: VideoHash, k: int):
         raise ValueError("k must be at least 1")
     store = db._scan_store()
     total = _entry_totals(_words(query.events, db.L), store)
-    k = min(k, len(total))
+    k = min(k, len(db))
     near = (total <= np.partition(total, k - 1)[k - 1]).nonzero()[0]
     # the totals sort as the distances total / E do, and int / int divides
     # as numpy does
     scored = sorted(zip(total[near].tolist(),
-                        map(store.ids.__getitem__, near.tolist())))
+                        map(store.ids.__getitem__, store.pos[near].tolist())))
     E = query.E
     return [(vid, t / E) for t, vid in scored[:k]]

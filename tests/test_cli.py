@@ -387,3 +387,22 @@ class TestPipeline:
                      "--ckpt-dir", str(blocker / "ck"), *feats]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "m.mcbn").exists()
+
+
+@pytest.mark.parametrize("duration", ["nan", "inf", "-1", "0", "1e40"])
+def test_hash_rejects_duration_vhdb_cannot_store(tmp_path, duration):
+    # a usage error, caught before any input file is read
+    assert main(["hash", "--model", str(tmp_path / "m.mcbn"), "--feat",
+                 str(tmp_path / "f.feat"), "--out", str(tmp_path / "h.vh"),
+                 "--duration", duration]) == 1
+    assert not (tmp_path / "h.vh").exists()
+
+
+def test_db_build_rejects_unstorable_duration(tmp_path):
+    vh = tmp_path / "a.vh"
+    vh.write_text("# evhash-vh 1 mode=events L=8 duration=1e+40 id=a\n"
+                  "3 ff\n")
+    out = tmp_path / "db.vhdb"
+    assert main(["db-build", "--out", str(out), "--mode", "events",
+                 str(vh)]) == 2
+    assert not out.exists()

@@ -218,6 +218,34 @@ class TestDatabase:
         with pytest.raises(DataError):
             db_load(path)
 
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf"), -1.0,
+                                         1e40])
+    def test_add_rejects_duration_vhdb_cannot_store(self, seconds):
+        db = HashDatabase(16, "events")
+        vh = make_hash(np.random.default_rng(14), "a", 16, 2)
+        vh.duration_seconds = seconds
+        with pytest.raises(DataError):
+            db_add(db, vh)
+        assert len(db) == 0
+
+    def test_save_rejects_bad_duration_before_writing(self, tmp_path):
+        db = HashDatabase(16, "events")
+        db_add(db, make_hash(np.random.default_rng(15), "a", 16, 2))
+        db.entries["a"].duration_seconds = 1e40
+        path = tmp_path / "db.vhdb"
+        with pytest.raises(DataError):
+            db_save(db, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("seconds", [4.3, 0.0, 1e-50, 3.4028234e38])
+    def test_duration_roundtrip(self, tmp_path, seconds):
+        db = HashDatabase(16, "events")
+        vh = make_hash(np.random.default_rng(16), "a", 16, 2)
+        vh.duration_seconds = seconds
+        db_add(db, vh)
+        db_save(db, tmp_path / "db.vhdb")
+        assert db_load(tmp_path / "db.vhdb") == db
+
     def test_save_rejects_entry_without_events(self, tmp_path):
         db = HashDatabase(16, "events")
         db_add(db, make_hash(np.random.default_rng(12), "a", 16, 2))
@@ -527,10 +555,10 @@ class TestScanStore:
 
     @settings(derandomize=True, deadline=None, max_examples=200,
               database=None)
-    @given(L=st.sampled_from(SCAN_LS[:6]), seed=st.integers(0, 2**32 - 1),
+    @given(L=st.sampled_from(SCAN_LS), seed=st.integers(0, 2**32 - 1),
            ops=st.lists(st.tuples(
                st.sampled_from(("add", "query", "reload")),
-               st.integers(0, 63), st.integers(1, 6)), max_size=25))
+               st.integers(0, 63), st.integers(1, 20)), max_size=25))
     def test_random_changes_rank_as_oracle(self, L, seed, ops):
         # "reload" saves and loads the database, which later ops go on with
         rng = np.random.default_rng(seed)
