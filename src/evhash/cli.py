@@ -215,7 +215,7 @@ def _learning_rate(text: str) -> float:
 def _hash_duration(text: str) -> float:
     """--duration: finite, > 0 and within float32, as VHDB stores it."""
     value = float(text)  # argparse reports a ValueError as an invalid value
-    if not 0 < value <= float(np.finfo(np.float32).max):
+    if not 0 < value <= index.MAX_SECONDS:
         raise argparse.ArgumentTypeError(
             f"expected a duration > 0 within float32, got {text!r}")
     return value

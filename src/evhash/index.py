@@ -7,27 +7,24 @@ first within each byte), one ``DbEntry`` per video id.
 
 ``query_topk`` scans the whole database at once, from a scan store that
 the database keeps between queries. The store holds every event as one
-column of a (W, slots) uint64 array, W = ceil(L/64): word w of an event,
-its packed bytes zero-padded to whole words, lies in row w. The columns
-form one region per event count e, in ascending order of e; region e is
-e event-major rows of cap_e slots each, so the i-th entry with e events
-keeps its event j in column j * cap_e + i of the region. Slots beyond a
-region's entries are spare: they are left unwritten, scanned with their
-region and dropped. A region that outgrows its slots lays the whole array
-out again, with 1.25 times the entries it must hold. The store keeps the
-ids in insertion order and, per slot, the entry's insertion position.
+column of a (W, columns) uint64 array, W = ceil(L/64): word w of an event,
+its packed bytes zero-padded, lies in row w. The columns form one region
+per event count e, in ascending order of e: e event-major rows of the
+region's slots, so the i-th entry with e events keeps its event j in
+column j * slots + i of its region. Slots past a region's entries are
+spare and left unwritten. When a region runs out of slots, the whole
+array is laid out again, each region with 1.25 times its entries plus 4
+spare slots. Per slot, the store keeps the entry's id.
 
-A query scans the array in chunks of whole regions, each at most
-``_BLOCK_WORDS`` words unless one region is more. Per chunk and query
-event it XORs the event against the chunk and popcounts the words into
-a row of an (E_q, chunk) count table; per region it takes the minimum
-over the region's e rows, stored entries only, into an (E_q, slots)
-table whose spare slots hold L + 1; one sum over the query's events gives
-each of the chunk's slots its total, so a spare slot's total is above
-any entry's and the top-k never picks it. A query's scratch is one
-chunk's words and two tables of E_q small counts per chunk column or
-slot, bounded by the chunk, not by the database; its only per-slot
-arrays are the totals and the top-k selection.
+A query scans the array in chunks of at most ``_BLOCK_WORDS`` words: a run
+of whole regions, or a slot range of a larger region. Per chunk and query
+event it XORs the event against the chunk and popcounts each column into
+an (E_q, columns) count table; per region, a minimum over the e rows
+gives an (E_q, slots) table; a sum over the query's events gives each slot
+its total. Spare slots then get E_q * (L + 1), above any entry's total,
+so the top-k never picks them. The scratch, one chunk's XORed words and
+two count tables of E_q small counts per chunk column, grows with the
+query's events, not with the database.
 
 The database is append-only: ``db.entries`` is a read-only view, and
 ``db_add`` and ``db_load`` are its only writers. So the store is never
@@ -46,10 +43,9 @@ event_count * ceil(L/8) packed code bytes; nothing after the last video.
 from __future__ import annotations
 
 import struct
-from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import islice
+from itertools import groupby, islice
 from types import MappingProxyType
 
 import numpy as np
@@ -90,14 +86,14 @@ def _check_packed(vid, packed: np.ndarray, L: int) -> None:
         raise EmptyEntry(f"{vid!r} has no events")
 
 
+# the longest duration a VHDB file can hold: float32's largest value
+MAX_SECONDS = float(np.finfo(np.float32).max)
 _F32 = struct.Struct("<f")
-_F32_MAX = float(np.finfo(np.float32).max)
 
 
 def _f32_seconds(vid, seconds: float) -> float:
-    """``seconds`` rounded to the float32 that VHDB stores; it must be
-    finite, >= 0 and no more than float32's largest value."""
-    if not 0 <= seconds <= _F32_MAX:
+    """``seconds``, in [0, MAX_SECONDS], rounded to VHDB's float32."""
+    if not 0 <= seconds <= MAX_SECONDS:
         raise OutOfRange(f"{vid!r}: duration {seconds} s is not a finite "
                          f"float32 >= 0")
     return _F32.unpack(_F32.pack(seconds))[0]
@@ -110,40 +106,47 @@ def _to_words(packed: np.ndarray, W: int) -> np.ndarray:
     return words
 
 
-# words a query XORs per chunk (or one region's, if more): bounds the scratch
+# words a query XORs per chunk, unless one slot's events are more
 _BLOCK_WORDS = 1 << 15
-# a region that outgrows its slots gets this many times the entries it holds
+# a re-layout gives each region this many times its entries, plus 4 slots
 _GROWTH = 1.25
+
+
+@dataclass
+class _Region:
+    """The stored entries with e events: e rows of ``slots`` columns from
+    column ``col``, at slots [slot, slot + slots); the first n are used."""
+
+    e: int
+    col: int
+    slot: int
+    slots: int
+    n: int
+
+    def of(self, words: np.ndarray) -> np.ndarray:
+        """The region's (W, e, slots) part of a (W, columns) word array."""
+        return words[:, self.col:self.col + self.e * self.slots].reshape(
+            len(words), self.e, self.slots)
 
 
 class _Store:
     """What ``query_topk`` scans: every entry's events as word columns in
-    regions by event count, and the ids of the entries in insertion order.
+    regions by event count, ``n`` entries in all, and each slot's id (None
+    at a spare slot).
 
-    ``regions`` maps each event count e, ascending, to [first column,
-    first slot, slots, entries]; ``pos`` holds each stored entry's
-    insertion position at its slot. ``chunks`` is the scan plan, which
-    changes only with the layout: per chunk its (W, columns) words, its
-    slots [s0, s1) and, per region in it, (first column and first slot in
-    the chunk, e, slots, the region's list).
+    ``chunks``, the scan plan, changes only with the layout: per chunk its
+    (W, rows, columns) words, first column, slots [s0, s1) and regions.
     """
 
     def __init__(self, L: int):
         self.L = L
-        self.ids: list[str] = []
+        self.n = 0
+        self.ids: list[str | None] = []
         self.words = np.empty((_word_count(L), 0), np.uint64)
-        self.pos = np.empty(0, np.intp)
-        self.regions: dict[int, list[int]] = {}
+        self.regions: dict[int, _Region] = {}
         self.chunks: list = []
-        self.chunk_cols = self.chunk_slots = 0
-        # one event's distance, and L + 1 for a spare slot
-        self.dist = np.min_scalar_type(64 * len(self.words))
-
-    def _region(self, e: int) -> tuple[np.ndarray, np.ndarray]:
-        """Region ``e``'s (W, e, slots) words and (slots,) positions."""
-        col, slot, slots, _ = self.regions[e]
-        return (self.words[:, col:col + e * slots].reshape(-1, e, slots),
-                self.pos[slot:slot + slots])
+        self.scratch = 0  # the largest chunk's columns
+        self.dist = np.min_scalar_type(64 * len(self.words))  # one event's
 
     def extend(self, ids: list[str], entries: list[DbEntry]) -> None:
         """Append ``entries`` under ``ids``. Every entry is checked first,
@@ -151,75 +154,67 @@ class _Store:
         packed = [entry.packed for entry in entries]
         try:
             counts = np.fromiter(map(len, packed), np.intp, len(packed))
-            # the new entries by event count, ascending, each group in
-            # insertion order
-            order = np.argsort(counts, kind="stable")
-            rows = np.concatenate([packed[i] for i in order.tolist()])
+            # the new entries by event count, each group in insertion order
+            order = np.argsort(counts, kind="stable").tolist()
+            rows = np.concatenate([packed[i] for i in order])
             valid = counts.all() and rows.shape[1:] == ((self.L + 7) // 8,)
         except (TypeError, ValueError):  # unsized or mismatched arrays
             valid = False
         if not valid:  # raise for the first bad entry
             for vid, p in zip(ids, packed):
                 _check_packed(vid, p, self.L)
-        by_e = counts[order].tolist()
-        groups, a = [], 0
-        while a < len(by_e):
-            b = bisect_right(by_e, by_e[a], a)
-            groups.append((by_e[a], a, b))
-            a = b
-        grown = {}
-        for e, a, b in groups:
-            _, _, slots, n = self.regions.get(e, (0, 0, 0, 0))
-            if n + b - a > slots:
-                grown[e] = int((n + b - a) * _GROWTH)
-        if grown:
-            self._lay_out(grown)
-        rows = _to_words(rows, len(self.words))
-        order += len(self.ids)
-        row = 0
-        for e, a, b in groups:
-            region = self.regions[e]
-            words, pos = self._region(e)
-            n, m = region[3], b - a
-            words[:, :, n:n + m] = rows[row:row + m * e].reshape(m, e, -1).T
-            pos[n:n + m] = order[a:b]
-            region[3] += m
-            row += m * e
-        self.ids += ids
+        groups = [(e, len(list(g)))
+                  for e, g in groupby(np.sort(counts).tolist())]
+        if any(e not in self.regions or m > self.regions[e].slots
+               - self.regions[e].n for e, m in groups):
+            self._lay_out(dict(groups))
+        rows, row, a = _to_words(rows, len(self.words)), 0, 0
+        ids = [ids[i] for i in order]
+        for e, m in groups:
+            r = self.regions[e]
+            r.of(self.words)[:, :, r.n:r.n + m] = \
+                rows[row:row + m * e].reshape(m, e, -1).T
+            self.ids[r.slot + r.n:r.slot + r.n + m] = ids[a:a + m]
+            r.n, row, a = r.n + m, row + m * e, a + m
+        self.n += len(ids)
 
-    def _lay_out(self, grown: dict[int, int]) -> None:
-        """Move every region into new arrays, giving each event count in
-        ``grown`` that many slots, and plan the scan anew."""
-        slots = {e: s for e, (_, _, s, _) in self.regions.items()} | grown
-        old = [(e, *self._region(e), n)
-               for e, (_, _, _, n) in self.regions.items()]
-        self.words = np.empty(
-            (len(self.words), sum(e * s for e, s in slots.items())),
-            np.uint64)
-        self.pos = np.empty(sum(slots.values()), np.intp)
-        self.regions, col, slot = {}, 0, 0
-        for e in sorted(slots):
-            self.regions[e] = [col, slot, slots[e], 0]
-            col, slot = col + e * slots[e], slot + slots[e]
-        for e, words, pos, n in old:
-            new_words, new_pos = self._region(e)
-            new_words[:, :, :n] = words[:, :, :n]
-            new_pos[:n] = pos[:n]
-            self.regions[e][3] = n
-        W, chunks = len(self.words), []
-        for e, region in self.regions.items():
-            col, slot, slots, _ = region
-            end = col + e * slots
-            if not chunks or W * (end - chunks[-1][0]) > _BLOCK_WORDS:
-                chunks.append([col, end, slot, slot, []])
-            chunk = chunks[-1]
-            chunk[4].append((col - chunk[0], slot - chunk[2], e, slots,
-                             region))
-            chunk[1], chunk[3] = end, slot + slots
-        self.chunks = [(self.words[:, c0:c1], s0, s1, regions)
-                       for c0, c1, s0, s1, regions in chunks]
-        self.chunk_cols = max(c1 - c0 for c0, c1, *_ in chunks)
-        self.chunk_slots = max(s1 - s0 for _, _, s0, s1, _ in chunks)
+    def _lay_out(self, added: dict[int, int]) -> None:
+        """Move every region into new arrays, sized for ``added`` more
+        entries per event count, and plan the scan anew."""
+        old, words, ids = self.regions, self.words, self.ids
+        W, col, slot, self.regions = len(words), 0, 0, {}
+        for e in sorted(old.keys() | added.keys()):
+            n = old[e].n if e in old else 0
+            slots = int((n + added.get(e, 0)) * _GROWTH) + 4
+            self.regions[e] = _Region(e, col, slot, slots, n)
+            col, slot = col + e * slots, slot + slots
+        self.words = np.empty((W, col), np.uint64)
+        self.ids = [None] * slot
+        for e, r in old.items():
+            new = self.regions[e]
+            new.of(self.words)[:, :, :r.n] = r.of(words)[:, :, :r.n]
+            self.ids[new.slot:new.slot + r.n] = ids[r.slot:r.slot + r.n]
+        # chunks: runs of whole regions, or slot ranges of a larger region
+        runs = []  # per chunk, its (region, first slot, slots)
+        for r in self.regions.values():
+            step = max(1, _BLOCK_WORDS // (W * r.e))
+            if r.slots > step:
+                runs += [[(r, a, min(step, r.slots - a))]
+                         for a in range(0, r.slots, step)]
+            elif (runs and runs[-1][0][2] == runs[-1][0][0].slots and W
+                  * (r.col + r.e * r.slots - runs[-1][0][0].col)
+                  <= _BLOCK_WORDS):
+                runs[-1].append((r, 0, r.slots))
+            else:
+                runs.append([(r, 0, r.slots)])
+        self.chunks = []
+        for run in runs:
+            (r, a, w), (z, b, v) = run[0], run[-1]
+            self.chunks.append((
+                r.of(self.words)[:, :, a:a + w] if len(run) == 1
+                else self.words[:, None, r.col:z.col + z.e * z.slots],
+                r.col, r.slot + a, z.slot + b + v, [q for q, _, _ in run]))
+        self.scratch = max(block[0].size for block, *_ in self.chunks)
 
 
 class HashDatabase:
@@ -256,7 +251,7 @@ class HashDatabase:
         """The scan store, extended by the entries added since the last
         call."""
         entries, store = self._entries, self._store
-        n = len(entries) - len(store.ids)
+        n = len(entries) - store.n
         if n:
             store.extend(list(islice(reversed(entries), n))[::-1],
                          list(islice(reversed(entries.values()), n))[::-1])
@@ -332,42 +327,44 @@ def _words(bits: np.ndarray, L: int) -> np.ndarray:
 
 
 def _entry_totals(q_words: np.ndarray, store: _Store) -> np.ndarray:
-    """Per slot of ``store`` (``store.pos`` gives the entry's insertion
-    position), the sum over query events of the minimum Hamming distance
-    to the entry's events; a spare slot's total is above any entry's."""
+    """Per slot of ``store``, the sum over query events of the minimum
+    Hamming distance to the slot's entry's events; a spare slot's total is
+    above any entry's."""
     E_q, W = q_words.shape
-    spare, dist = store.L + 1, store.dist
+    cols = store.scratch
     # query events XORed at a time: all of them against a small chunk
-    qn = min(E_q, max(1, _BLOCK_WORDS // (W * store.chunk_cols)))
-    x = np.empty((qn, W, store.chunk_cols), np.uint64)
-    counts = np.empty((E_q, store.chunk_cols), dist)
-    table = np.empty((E_q, store.chunk_slots), dist)
+    qn = min(E_q, max(1, _BLOCK_WORDS // (W * cols)))
+    counts = np.empty(E_q * cols, store.dist)
+    spare = E_q * (store.L + 1)
     # np.partition is far slower on uint8 than on uint16
-    total = np.empty(len(store.pos), np.min_scalar_type(max(E_q * spare,
-                                                            1 << 8)))
-    for block, s0, s1, regions in store.chunks:
-        n = block.shape[1]
+    total = np.empty(len(store.ids), np.uint16 if spare < 1 << 16 else int)
+    for block, c0, s0, s1, regions in store.chunks:
+        _, rows, n = block.shape
+        c = counts[:E_q * rows * n].reshape(E_q, rows, n)
         for i in range(0, E_q, qn):
-            xb = x[:E_q - i, :, :n]
-            np.bitwise_xor(block, q_words[i:i + qn, :, None], out=xb)
-            if W == 1:
-                np.bitwise_count(xb[:, 0], out=counts[i:i + qn, :n])
-            else:
-                np.add.reduce(np.bitwise_count(xb), axis=1, dtype=dist,
-                              out=counts[i:i + qn, :n])
-        table.fill(spare)
-        # a copy costs less than a reduction over one row
-        for lo, t, e, slots, (_, _, _, m) in regions:
-            if e == 1:
-                table[:, t:t + m] = counts[:, lo:lo + m]
-            else:
-                np.minimum.reduce(counts[:, lo:lo + e * slots].reshape(
-                    E_q, e, slots)[..., :m], axis=1, out=table[:, t:t + m])
-        if E_q == 1:
-            total[s0:s1] = table[0, :s1 - s0]
+            x = np.bitwise_count(block ^ q_words[i:i + qn, :, None, None],
+                                 out=c[i:i + qn, None] if W == 1 else None)
+            if W > 1:
+                np.add.reduce(x, axis=1, dtype=store.dist, out=c[i:i + qn])
+        if rows > 1:  # one region, or a slot range of it
+            t = np.minimum.reduce(c, axis=1)
+        elif len(regions) == 1:  # one region of 1-event entries
+            t = c[:, 0]
         else:
-            np.add.reduce(table[:, :s1 - s0], axis=0, dtype=total.dtype,
-                          out=total[s0:s1])
+            t = np.empty((E_q, s1 - s0), store.dist)
+            for r in regions:
+                lo, ts, e, w = r.col - c0, r.slot - s0, r.e, r.slots
+                if e == 1:  # a copy costs less than a reduction over one row
+                    t[:, ts:ts + w] = c[:, 0, lo:lo + w]
+                else:
+                    np.minimum.reduce(c[:, 0, lo:lo + e * w].reshape(
+                        E_q, e, w), axis=1, out=t[:, ts:ts + w])
+        if E_q == 1:
+            total[s0:s1] = t[0]
+        else:
+            np.add.reduce(t, axis=0, dtype=total.dtype, out=total[s0:s1])
+    for r in store.regions.values():
+        total[r.slot + r.n:r.slot + r.slots] = spare
     return total
 
 
@@ -389,6 +386,6 @@ def query_topk(db: HashDatabase, query: VideoHash, k: int):
     # the totals sort as the distances total / E do, and int / int divides
     # as numpy does
     scored = sorted(zip(total[near].tolist(),
-                        map(store.ids.__getitem__, store.pos[near].tolist())))
+                        map(store.ids.__getitem__, near.tolist())))
     E = query.E
     return [(vid, t / E) for t, vid in scored[:k]]

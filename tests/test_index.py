@@ -2,12 +2,14 @@ import struct
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evhash import index
 from evhash.errors import (
     BadMagic,
     DataError,
@@ -553,17 +555,33 @@ class TestScanStore:
             q = make_hash(rng, "q", L, int(rng.integers(1, 4)))
             assert query_topk(db, q, len(db) + 2) == ranking_oracle(db, q)
 
+    def test_new_region_has_room_for_more_entries(self):
+        # its next adds fill spare slots instead of laying the store out
+        rng = np.random.default_rng(31)
+        db = HashDatabase(64, "events")
+        q = make_hash(rng, "q", 64, 2)
+        db_add(db, make_hash(rng, "a", 64, 3))
+        query_topk(db, q, 1)
+        words = db._store.words
+        for i in range(4):
+            db_add(db, make_hash(rng, f"b{i}", 64, 3))
+            assert query_topk(db, q, 9) == ranking_oracle(db, q)[:9]
+        assert db._store.words is words
+
     @settings(derandomize=True, deadline=None, max_examples=200,
               database=None)
     @given(L=st.sampled_from(SCAN_LS), seed=st.integers(0, 2**32 - 1),
            ops=st.lists(st.tuples(
                st.sampled_from(("add", "query", "reload")),
-               st.integers(0, 63), st.integers(1, 20)), max_size=25))
-    def test_random_changes_rank_as_oracle(self, L, seed, ops):
-        # "reload" saves and loads the database, which later ops go on with
+               st.integers(0, 63), st.integers(1, 20)), max_size=25),
+           block=st.sampled_from((index._BLOCK_WORDS, 48)))
+    def test_random_changes_rank_as_oracle(self, L, seed, ops, block):
+        # "reload" saves and loads the database, which later ops go on with;
+        # 48-word chunks split regions and query events over many chunks
         rng = np.random.default_rng(seed)
         db = HashDatabase(L, "events")
-        with tempfile.TemporaryDirectory() as tmp:
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(index, "_BLOCK_WORDS", block):
             path = Path(tmp) / "db.vhdb"
             for step, (op, pick, n) in enumerate(ops + [("query", 0, 3)]):
                 if op == "add":
@@ -577,25 +595,36 @@ class TestScanStore:
                     assert query_topk(db, q, k) == ranking_oracle(db, q)[:k]
 
 
+def _query_scratch(counts):
+    """Peak bytes a 16-event query allocates on an L=64 database whose
+    entries have ``counts`` events, the scan store already built."""
+    rng = np.random.default_rng(29)
+    bits = unpack_codes(rng.integers(0, 256, size=(counts.sum(), 8),
+                                     dtype=np.uint8), 64)
+    db = HashDatabase(64, "events")
+    for i, (a, b) in enumerate(zip(np.cumsum(counts) - counts,
+                                   np.cumsum(counts))):
+        db_add(db, VideoHash(f"v{i:05d}", 64, bits[a:b],
+                             np.arange(1, b - a + 1), "events", 1.0))
+    q = make_hash(rng, "q", 64, 16)
+    want = query_topk(db, q, 10)  # builds the scan store
+    tracemalloc.start()
+    try:
+        got = query_topk(db, q, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    return peak
+
+
 class TestScratch:
     def test_query_scratch_does_not_grow_with_database(self):
         # about 70k L=64 events, 1 to 20 per entry
-        rng = np.random.default_rng(29)
-        counts = np.tile(np.arange(1, 21), 333)
-        bits = unpack_codes(rng.integers(0, 256, size=(counts.sum(), 8),
-                                         dtype=np.uint8), 64)
-        db = HashDatabase(64, "events")
-        for i, (a, b) in enumerate(zip(np.cumsum(counts) - counts,
-                                       np.cumsum(counts))):
-            db_add(db, VideoHash(f"v{i:05d}", 64, bits[a:b],
-                                 np.arange(1, b - a + 1), "events", 1.0))
-        q = make_hash(rng, "q", 64, 16)
-        want = query_topk(db, q, 10)  # builds the scan store
-        tracemalloc.start()
-        try:
-            got = query_topk(db, q, 10)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert got == want
+        peak = _query_scratch(np.tile(np.arange(1, 21), 333))
+        assert peak < 1 << 20, f"query scratch peaked at {peak} bytes"
+
+    def test_one_large_region_is_scanned_in_bounded_chunks(self):
+        # 70k L=64 events, 7 per entry: one region of 10k entries
+        peak = _query_scratch(np.full(10_000, 7))
         assert peak < 1 << 20, f"query scratch peaked at {peak} bytes"
